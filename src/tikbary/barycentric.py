@@ -10,6 +10,10 @@ with l(x) the node polynomial and W_j the barycentric weights
 rescaling of the weights; the modified Lagrange form is not, so it re-anchors
 whatever weights it is given to the product-formula scale.  lambda = 0 gives
 the classical interpolant; lambda > 0 multiplies it by 1/(1+lambda).
+
+The quotient form also takes k sample vectors at once, stacked as the
+columns of an (N+1, k) values array: one pass over the Cauchy table
+W_j/(x - x_j) serves every column.
 """
 
 from dataclasses import dataclass
@@ -18,6 +22,7 @@ import numpy as np
 
 from .basis import eval_orthonormal
 from .quadrature import QuadratureRule
+from .regularized_fit import check_lambda
 
 __all__ = [
     "BarycentricData",
@@ -73,8 +78,9 @@ def weights_gauss(rule: QuadratureRule) -> np.ndarray:
 class BarycentricData:
     """Nodes, weights, samples and the shrinkage parameter, validated once.
 
-    Weights are normalized to max |W_j| = 1 on construction; both evaluation
-    forms are indifferent to that common factor.
+    values has shape (N+1,) for one sample vector or (N+1, k) for k of them
+    side by side.  Weights are normalized to max |W_j| = 1 on construction;
+    both evaluation forms are indifferent to that common factor.
     """
 
     nodes: np.ndarray
@@ -88,8 +94,11 @@ class BarycentricData:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two nodes")
-        if weights.shape != nodes.shape or values.shape != nodes.shape:
-            raise ValueError("weights and values must align with nodes")
+        if weights.shape != nodes.shape:
+            raise ValueError("weights must align with nodes")
+        if values.ndim not in (1, 2) or values.shape[0] != nodes.size:
+            raise ValueError(
+                "values must have shape (N+1,) or (N+1, k), aligned with nodes")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
@@ -98,8 +107,7 @@ class BarycentricData:
             raise ValueError("weights must strictly alternate in sign")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
+        check_lambda(self.lam)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights / np.max(np.abs(weights)))
         object.__setattr__(self, "values", values)
@@ -123,14 +131,38 @@ def _product_scale_anchor(data: BarycentricData) -> tuple[float, float]:
     return log_true - np.log(abs(stored)), sign_true * np.sign(stored)
 
 
+def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (rows of x, nodes) of the points of x equal to a node exactly.
+
+    A binary search on the strictly increasing nodes, O(x log N) instead of a
+    scan of the whole (x, nodes) difference table.
+    """
+    cols = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    rows = np.flatnonzero(nodes[cols] == x)
+    return rows, cols[rows]
+
+
+def _differences(nodes: np.ndarray, block: np.ndarray, out=None):
+    """Table x - x_j for a block of points, node hits set to 1, plus the hits."""
+    hit_rows, hit_cols = _node_hits(nodes, block)
+    diffs = np.subtract(block[:, None], nodes[None, :], out=out)
+    diffs[hit_rows, hit_cols] = 1.0
+    return diffs, hit_rows, hit_cols
+
+
 def interp_modified_lagrange(data: BarycentricData, x):
     """Evaluate l(x)/(1+lambda) * sum_j W_j f_j/(x - x_j) at x.
 
     A point that equals a node exactly returns f_j/(1+lambda); there is no
     epsilon ball, nearby points go through the formula, which is stable.
     The node polynomial and the scale anchor are carried in log space when
-    the node count is large.
+    the node count is large.  Takes one sample vector; stacked values go
+    through interp_barycentric.
     """
+    if data.values.ndim != 1:
+        raise ValueError(
+            "interp_modified_lagrange takes one sample vector of shape (N+1,); "
+            "use interp_barycentric for stacked values")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x).ravel()
@@ -139,15 +171,14 @@ def interp_modified_lagrange(data: BarycentricData, x):
     out = np.empty(xv.size)
     for start in range(0, xv.size, _BLOCK):
         block = xv[start : start + _BLOCK]
-        diffs = block[:, None] - data.nodes[None, :]
-        hit_rows, hit_cols = np.nonzero(diffs == 0.0)
-        safe = diffs.copy()
-        safe[hit_rows, hit_cols] = 1.0
-        inner = (data.weights * data.values / safe).sum(axis=1)
+        # hit rows hold 1 in place of the zero difference; their node
+        # polynomial is wrong but they are overwritten below
+        diffs, hit_rows, hit_cols = _differences(data.nodes, block)
+        inner = (data.weights * data.values / diffs).sum(axis=1)
         if len(data) <= _DIRECT_PRODUCT_LIMIT:
             node_poly = np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
         else:
-            log_poly = np.sum(np.log(np.abs(safe)), axis=1)
+            log_poly = np.sum(np.log(np.abs(diffs)), axis=1)
             sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
             node_poly = sign_poly * sign_c * np.exp(log_poly + log_c)
         vals = node_poly * inner / shrink
@@ -162,27 +193,36 @@ def interp_barycentric(data: BarycentricData, x):
     A point equal to a node returns f_j/(1+lambda).  For real distinct nodes
     with alternating weights the denominator cannot vanish off the nodes; a
     zero there means corrupted data and raises.
+
+    With values of shape (N+1, k) the result has shape x.shape + (k,), and
+    column c is bitwise the result for values[:, c] alone: every column's
+    numerator is the same pairwise row sum a single vector gets.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
+    xv = x.ravel()
     shrink = 1.0 + data.lam
-    out = np.empty(xv.size)
+    values = data.values.reshape(len(data), -1)
+    out = np.empty((xv.size, values.shape[1]))
+    # work tables allocated once per call, not per block: per-block tables
+    # of (1024 x N+1) doubles pile up in the allocator and raise peak RSS
+    table = np.empty((min(_BLOCK, xv.size), len(data)))
+    terms = np.empty_like(table)
     for start in range(0, xv.size, _BLOCK):
         block = xv[start : start + _BLOCK]
-        diffs = block[:, None] - data.nodes[None, :]
-        hit_rows, hit_cols = np.nonzero(diffs == 0.0)
-        safe = diffs.copy()
-        safe[hit_rows, hit_cols] = 1.0
-        ratios = data.weights / safe
-        numer = (ratios * data.values).sum(axis=1)
+        rows = block.size
+        diffs, hit_rows, hit_cols = _differences(data.nodes, block, table[:rows])
+        ratios = np.divide(data.weights, diffs, out=diffs)
         denom = ratios.sum(axis=1)
         denom[hit_rows] = 1.0  # masked below
         if np.any(denom == 0.0):
             raise RuntimeError(
                 "barycentric denominator vanished off-node; weights are inconsistent"
             )
-        vals = numer / (shrink * denom)
-        vals[hit_rows] = data.values[hit_cols] / shrink
-        out[start : start + _BLOCK] = vals
-    return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
+        scaled = shrink * denom
+        vals = out[start : start + _BLOCK]
+        for c in range(values.shape[1]):
+            np.multiply(ratios, values[:, c], out=terms[:rows])
+            vals[:, c] = terms[:rows].sum(axis=1) / scaled
+        vals[hit_rows] = values[hit_cols] / shrink
+    out = out.reshape(x.shape + data.values.shape[1:])
+    return float(out) if out.ndim == 0 else out

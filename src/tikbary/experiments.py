@@ -28,7 +28,7 @@ from .metrics import (
     lambda_sweep,
 )
 from .quadrature import gauss_rule
-from .regularized_fit import evaluate, fit
+from .regularized_fit import check_lambda, evaluate, fit
 from .signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 from .svgplot import render_csv_text
 
@@ -88,8 +88,10 @@ class ExperimentConfig:
             raise ValueError("l_values and n_values must be nonempty")
         if min(self.l_values) < 0 or min(self.n_values) < 1:
             raise ValueError("degrees must be sensible")
-        if not self.lambdas or min(self.lambdas) < 0.0:
-            raise ValueError("lambdas must be nonempty and >= 0")
+        if not self.lambdas:
+            raise ValueError("lambdas must be nonempty")
+        for lam in self.lambdas:
+            check_lambda(lam)
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if self.grid_equispaced < 2 or self.grid_chebyshev < 2:
@@ -282,15 +284,18 @@ def run_fig3(config: ExperimentConfig) -> list:
         noisy = add_noise(clean, noise)
         l2r = default_l2_rule(rule, N)
         f_l2 = clean if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-        omega = weights_gauss(rule)
-        for values, seed, snr in ((clean, None, None),
-                                  (noisy, noise.seed, config.snr_db)):
+        # both sample vectors in one pass per point set, at lambda = 0; each
+        # lambda is then the scalar 1/(1+lambda)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               np.column_stack([clean, noisy]))
+        p_grid = interp_barycentric(data, grid)
+        p_l2 = interp_barycentric(data, l2r.nodes)
+        for c, seed, snr in ((0, None, None), (1, noise.seed, config.snr_db)):
             for lam in config.lambdas:
-                data = BarycentricData(rule.nodes, omega, values, lam)
                 rows.append(_error_row(
                     spec.name, N, N, lam, seed, snr,
-                    f_grid, interp_barycentric(data, grid),
-                    l2r, f_l2, interp_barycentric(data, l2r.nodes)))
+                    f_grid, p_grid[:, c] / (1.0 + lam),
+                    l2r, f_l2, p_l2[:, c] / (1.0 + lam)))
     hints = ["x = N", "y = l2_error, uniform_error",
              "group-by = lambda, snr_db", "logy = true",
              f"title = interpolation of {config.fn} vs N"]
@@ -312,7 +317,6 @@ def run_fig45(config: ExperimentConfig) -> list:
     lam_t = config.lambdas[-1]
     grid = _grid(config)
     f_grid = np.asarray(f(grid), dtype=float)
-    omega = weights_gauss(rule)
 
     variants = [("true", clean), ("scale-1.2", 1.2 * clean)]
     for idx, c in ((2, 0.3), (3, 0.4)):
@@ -328,12 +332,15 @@ def run_fig45(config: ExperimentConfig) -> list:
                     ["x = x", "y = " + ", ".join(n for n, _ in variants),
                      f"title = sampled data, {config.fn}"])
 
+    # every variant in one grid pass at lambda = 0, shrunk by a scalar after
+    stacked = BarycentricData(rule.nodes, weights_gauss(rule),
+                              np.column_stack([v for _, v in variants]))
+    p_all = interp_barycentric(stacked, grid)
     curve_cols, curve_series = ["x", "target"], [f_grid]
     err_cols, err_series = ["x"], []
-    for name, values in variants:
+    for c, (name, _) in enumerate(variants):
         for tag, lam in (("classical", 0.0), ("tikhonov", lam_t)):
-            p = interp_barycentric(
-                BarycentricData(rule.nodes, omega, values, lam), grid)
+            p = p_all[:, c] / (1.0 + lam)
             curve_cols.append(f"{tag}-{name}")
             curve_series.append(p)
             err_cols.append(f"err-{tag}-{name}")

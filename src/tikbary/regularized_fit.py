@@ -21,6 +21,7 @@ from .basis import BasisSpec, eval_orthonormal, recurrence_coefficients
 from .quadrature import QuadratureRule, gauss_rule
 
 __all__ = [
+    "check_lambda",
     "RegularizedApproximant",
     "fit",
     "evaluate",
@@ -30,6 +31,16 @@ __all__ = [
     "lebesgue_constant",
     "default_lebesgue_grid",
 ]
+
+
+def check_lambda(lam) -> None:
+    """Raise ValueError unless lam is a finite number >= 0.
+
+    A NaN passes a plain lam < 0 test and would flow through every division
+    by 1 + lambda, so finiteness is checked explicitly.
+    """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +54,7 @@ class RegularizedApproximant:
     rule: QuadratureRule | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        check_lambda(self.lam)
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.shape != (self.degree + 1,):
             raise ValueError("coefficient vector must have length degree + 1")
@@ -83,8 +93,7 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
             f"degree L={L} exceeds rule degree N={rule.degree}; "
             "the quadrature identity needs L <= N"
         )
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_lambda(lam)
     samples = _check_samples(rule, samples)
     wf = rule.weights * samples
     table = recurrence_coefficients(rule.spec, L + 2)

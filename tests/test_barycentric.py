@@ -12,6 +12,7 @@ import pytest
 
 from tikbary.barycentric import (
     BarycentricData,
+    _node_hits,
     interp_barycentric,
     interp_modified_lagrange,
     weights_gauss,
@@ -115,6 +116,27 @@ class TestDataValidation:
         with pytest.raises(ValueError):
             BarycentricData(nodes, w[:2], v)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_lambda(self, lam):
+        nodes = np.array([-0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            BarycentricData(nodes, np.array([0.5, -1.0, 0.5]), np.ones(3),
+                            lam=lam)
+
+    def test_stacked_values_shapes(self):
+        nodes = np.array([-0.5, 0.0, 0.5])
+        w = np.array([0.5, -1.0, 0.5])
+        assert BarycentricData(nodes, w, np.zeros((3, 4))).values.shape \
+            == (3, 4)
+        with pytest.raises(ValueError):
+            BarycentricData(nodes, w, np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError):
+            BarycentricData(nodes, w, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            BarycentricData(nodes, w, np.zeros(()))
+        with pytest.raises(ValueError):
+            BarycentricData(nodes, w, np.array([[0.0], [np.inf], [0.0]]))
+
 
 class TestFormulas:
     def test_parabola_through_three_points(self):
@@ -217,6 +239,88 @@ class TestNodeSemantics:
         object.__setattr__(data, "weights", np.array([1.0, 1.0]))
         with pytest.raises(RuntimeError):
             interp_barycentric(data, 0.0)
+
+    def test_vanishing_denominator_raises_with_stacked_values(self):
+        data = BarycentricData(np.array([-1.0, 1.0]), np.array([1.0, -1.0]),
+                               np.ones((2, 3)))
+        object.__setattr__(data, "weights", np.array([1.0, 1.0]))
+        with pytest.raises(RuntimeError):
+            interp_barycentric(data, np.array([-1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("nodes", [
+        np.array([-0.75, -0.25, 0.0, 0.5, 1.0]), gauss_rule(LEG, 301).nodes],
+        ids=["hand", "legendre-301"])
+    def test_node_hits_match_brute_force(self, nodes):
+        x = np.concatenate([
+            nodes, np.nextafter(nodes, -2.0), np.nextafter(nodes, 2.0),
+            [-0.0, -1.0, 1.0, 1.5, -np.inf, np.inf, np.nan], nodes[::-1],
+            _rng(10).uniform(-1.0, 1.0, 50)])
+        rows, cols = _node_hits(nodes, x)
+        want_rows, want_cols = np.nonzero(x[:, None] == nodes[None, :])
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+        assert rows.size >= 2 * nodes.size
+
+
+class TestStackedValues:
+    """Each column of a stacked call is bitwise the call on that column."""
+
+    @staticmethod
+    def _data(pts, lam, k=3):
+        rule = gauss_rule(CHEB, pts)
+        cols = [f1(rule.nodes), np.cos(3.0 * rule.nodes),
+                _rng(pts).uniform(-1.0, 1.0, pts)][:k]
+        return rule, BarycentricData(rule.nodes, weights_gauss(rule),
+                                     np.column_stack(cols), lam)
+
+    @staticmethod
+    def _column(data, c):
+        return BarycentricData(data.nodes, data.weights, data.values[:, c],
+                               data.lam)
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    @pytest.mark.parametrize("pts", [21, 600])
+    def test_columns_bitwise_equal_single_calls(self, lam, pts):
+        rule, data = self._data(pts, lam)
+        inside = _rng(12).uniform(-0.99, 0.99, 2500)  # spans several blocks
+        hull = np.array([-1.0, 1.0, 1.0, -1.0])  # outside the Chebyshev nodes
+        hits = rule.nodes[::3]
+        unsorted = np.concatenate([inside[:40], hits, hull, inside[:40]])
+        for x in (inside, hull, hits, unsorted, unsorted[:80].reshape(8, 10)):
+            got = interp_barycentric(data, x)
+            assert got.shape == x.shape + (3,)
+            for c in range(3):
+                single = interp_barycentric(self._column(data, c), x)
+                np.testing.assert_array_equal(got[..., c], single)
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    def test_scalar_x(self, lam):
+        rule, data = self._data(21, lam)
+        for x in (0.3, -1.0, float(rule.nodes[4])):
+            got = interp_barycentric(data, x)
+            assert got.shape == (3,)
+            for c in range(3):
+                single = interp_barycentric(self._column(data, c), x)
+                assert isinstance(single, float)
+                assert got[c] == single
+
+    def test_node_hits_return_the_shrunk_samples(self):
+        rule, data = self._data(21, LAMBDA_STAR)
+        got = interp_barycentric(data, rule.nodes)
+        np.testing.assert_array_equal(got, data.values / (1.0 + LAMBDA_STAR))
+
+    def test_single_column_keeps_a_column_axis(self):
+        rule, data = self._data(21, 0.0, k=1)
+        x = np.linspace(-1.0, 1.0, 7)
+        got = interp_barycentric(data, x)
+        assert got.shape == (7, 1)
+        np.testing.assert_array_equal(
+            got[:, 0], interp_barycentric(self._column(data, 0), x))
+
+    def test_modified_lagrange_rejects_stacked_values(self):
+        _, data = self._data(21, 0.0)
+        with pytest.raises(ValueError, match="one sample vector"):
+            interp_modified_lagrange(data, 0.3)
 
 
 class TestAgainstCoefficientRoute:

@@ -76,6 +76,13 @@ class TestFit:
         _, out, _ = _run(capsys, "fit", "--L", "6", "--fn", "f1")
         assert parse_table(out).metadata["N"] == "6"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
+    def test_bad_lambda_is_a_clean_error(self, capsys, bad):
+        code, out, err = _run(capsys, "fit", "--L", "4", "--fn", "f1",
+                              "--lambda", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "lambda must be finite" in err
+
     def test_two_lambdas_are_rejected(self, capsys):
         code, _, err = _run(capsys, "fit", "--L", "4", "--fn", "f1",
                             "--lambda", "0.5", "--lambda", "1.0")
@@ -167,6 +174,11 @@ class TestSweep:
 
 
 class TestRun:
+    def test_nan_lambda_is_a_clean_error(self, capsys, tmp_path):
+        code, _, err = _run(capsys, "run", "--experiment", "sweep",
+                            "--lambda", "nan", "--out", str(tmp_path))
+        assert code == 2 and "lambda must be finite" in err
+
     def test_experiment_with_overrides(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "run", "--experiment", "fig1",
                             "--L", "16", "--N", "32", "--out", str(tmp_path))

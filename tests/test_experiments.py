@@ -5,6 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tikbary.barycentric import (
+    BarycentricData,
+    interp_barycentric,
+    weights_gauss,
+)
+from tikbary.basis import BasisSpec
 from tikbary.configfile import parse_config_text
 from tikbary.csvio import REPORT_COLUMNS, read_table
 from tikbary.experiments import (
@@ -14,7 +20,9 @@ from tikbary.experiments import (
     paper_config,
     run,
 )
-from tikbary.metrics import LAMBDA_STAR
+from tikbary.metrics import LAMBDA_STAR, default_l2_rule, default_uniform_grid
+from tikbary.quadrature import gauss_rule
+from tikbary.signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 
 
 def _tiny(experiment, tmp_path, **overrides):
@@ -41,6 +49,11 @@ class TestConfigValidation:
             ExperimentConfig("custom", l_values=(), n_values=(8,))
         with pytest.raises(ValueError):
             ExperimentConfig("custom", lambdas=(-0.1,), **good)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ExperimentConfig("custom", lambdas=(0.0, bad), **good)
+        with pytest.raises(ValueError):
+            ExperimentConfig("custom", lambdas=(), **good)
         with pytest.raises(ValueError):
             ExperimentConfig("custom", noise_kind="pink", **good)
         with pytest.raises(ValueError):
@@ -236,3 +249,62 @@ class TestRunners:
         table = read_table(tmp_path / "custom.csv")
         err = [float(v) for v in table.column("l2_error")]
         assert err[0] < err[1]
+
+
+def _assert_close_keeping_zeros(got, want, rtol=1e-13):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+class TestLambdaAsAScalar:
+    """The runners interpolate once at lambda = 0 and divide by 1 + lambda;
+    the results must match one interpolation per (values, lambda) pair."""
+
+    def test_fig3_matches_the_per_lambda_route(self, tmp_path):
+        cfg = desk_config("fig3", out_dir=str(tmp_path))
+        run(cfg)
+        table = read_table(tmp_path / "fig3.csv")
+        spec = BasisSpec.from_name(cfg.basis)
+        f = FUNCTIONS[cfg.fn]
+        grid = default_uniform_grid(cfg.grid_equispaced, cfg.grid_chebyshev)
+        f_grid = f(grid)
+        want = []
+        for i, N in enumerate(cfg.n_values):
+            rule = gauss_rule(spec, N + 1)
+            clean = f(rule.nodes)
+            noisy = add_noise(clean, NoiseSpec(
+                "additive-white-snr", derive_seed(cfg.seed, i),
+                snr_db=cfg.snr_db))
+            l2r = default_l2_rule(rule, N)
+            f_l2 = f(l2r.nodes)
+            for values in (clean, noisy):
+                for lam in cfg.lambdas:
+                    data = BarycentricData(rule.nodes, weights_gauss(rule),
+                                           values, lam)
+                    resid = f_l2 - interp_barycentric(data, l2r.nodes)
+                    want.append([
+                        np.max(np.abs(f_grid - interp_barycentric(data, grid))),
+                        np.sqrt(np.sum(l2r.weights * resid * resid))])
+        got = np.column_stack([table.column(name, as_float=True)
+                               for name in ("uniform_error", "l2_error")])
+        assert len(got) == len(want) == 4 * len(cfg.n_values)
+        _assert_close_keeping_zeros(got, want)
+
+    @pytest.mark.parametrize("experiment", ["fig4", "fig5"])
+    def test_fig45_curves_match_the_per_lambda_route(self, tmp_path,
+                                                     experiment):
+        cfg = _tiny(experiment, tmp_path)
+        run(cfg)
+        curves = read_table(tmp_path / f"{experiment}_curves.csv")
+        data = read_table(tmp_path / f"{experiment}_data.csv")
+        rule = gauss_rule(BasisSpec.from_name(cfg.basis), cfg.n_values[0] + 1)
+        grid = np.array(curves.column("x", as_float=True))
+        for name in data.columns[2:]:
+            values = np.array(data.column(name, as_float=True))
+            for tag, lam in (("classical", 0.0),
+                             ("tikhonov", cfg.lambdas[-1])):
+                want = interp_barycentric(BarycentricData(
+                    rule.nodes, weights_gauss(rule), values, lam), grid)
+                got = curves.column(f"{tag}-{name}", as_float=True)
+                _assert_close_keeping_zeros(got, want)

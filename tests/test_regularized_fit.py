@@ -16,6 +16,7 @@ from tikbary.metrics import LAMBDA_STAR
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import (
     RegularizedApproximant,
+    check_lambda,
     continuum_limit_fit,
     default_lebesgue_grid,
     evaluate,
@@ -159,6 +160,21 @@ class TestValidation:
             RegularizedApproximant(LEG, 3, 0.0, np.zeros(3))
         with pytest.raises(ValueError):
             RegularizedApproximant(LEG, 3, -1.0, np.zeros(4))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nonfinite_lambda_is_rejected(self, lam):
+        rule = gauss_rule(LEG, 9)
+        with pytest.raises(ValueError, match="finite"):
+            fit(rule, 4, lam, np.zeros(9))
+        with pytest.raises(ValueError, match="finite"):
+            RegularizedApproximant(LEG, 3, lam, np.zeros(4))
+
+    def test_check_lambda(self):
+        for good in (0, 0.0, np.float64(LAMBDA_STAR), 1e300):
+            check_lambda(good)
+        for bad in (-1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                check_lambda(bad)
 
 
 class TestGramResidual:
