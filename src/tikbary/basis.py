@@ -6,6 +6,7 @@ on the three-term recurrence evaluated here.
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ __all__ = [
     "cd_kernel_quotient",
 ]
 
+# a decimal literal, as BasisSpec.name writes an exponent
+_NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -29,9 +33,10 @@ class BasisSpec:
     jacobi_b: float = 0.0
 
     def __post_init__(self):
-        if not (self.jacobi_a > -1.0 and self.jacobi_b > -1.0):
+        if not (-1.0 < self.jacobi_a < math.inf and -1.0 < self.jacobi_b < math.inf):
             raise ValueError(
-                f"weight exponents must exceed -1, got a={self.jacobi_a}, b={self.jacobi_b}"
+                "weight exponents must be finite and exceed -1, "
+                f"got a={self.jacobi_a}, b={self.jacobi_b}"
             )
 
     @staticmethod
@@ -49,7 +54,11 @@ class BasisSpec:
             return BasisSpec.chebyshev1()
         if key == "legendre":
             return BasisSpec.legendre()
-        raise ValueError(f"unknown basis name: {name!r} (use chebyshev1 or legendre)")
+        match = re.fullmatch(rf"jacobi\(({_NUMBER}),({_NUMBER})\)", key.replace(" ", ""))
+        if match:
+            return BasisSpec(float(match[1]), float(match[2]))
+        raise ValueError(
+            f"unknown basis name: {name!r} (use chebyshev1, legendre or jacobi(a,b))")
 
     @property
     def name(self) -> str:
@@ -57,7 +66,8 @@ class BasisSpec:
             return "chebyshev1"
         if (self.jacobi_a, self.jacobi_b) == (0.0, 0.0):
             return "legendre"
-        return f"jacobi({self.jacobi_a:g},{self.jacobi_b:g})"
+        # repr, not :g, so that from_name(name) gives back the same exponents
+        return f"jacobi({float(self.jacobi_a)!r},{float(self.jacobi_b)!r})"
 
     @property
     def is_symmetric(self) -> bool:

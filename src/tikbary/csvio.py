@@ -13,11 +13,9 @@ import io
 __all__ = [
     "TableData",
     "format_value",
-    "write_table",
     "render_table",
     "read_table",
     "parse_table",
-    "report_columns",
     "report_row",
 ]
 
@@ -68,13 +66,6 @@ def render_table(columns, rows, metadata=(), plot_hints=()) -> str:
     return out.getvalue()
 
 
-def write_table(path, columns, rows, metadata=(), plot_hints=()) -> str:
-    text = render_table(columns, rows, metadata, plot_hints)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return text
-
-
 def parse_table(text: str) -> TableData:
     metadata = {}
     hints = []
@@ -100,10 +91,6 @@ def parse_table(text: str) -> TableData:
 def read_table(path) -> TableData:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_table(fh.read())
-
-
-def report_columns():
-    return list(REPORT_COLUMNS)
 
 
 def report_row(report) -> list:

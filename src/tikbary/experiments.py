@@ -10,8 +10,10 @@ Throughout, N is the degree of the quadrature rule (N+1 nodes) and L the
 degree of the fitted polynomial; fitting requires L <= N.
 """
 
+import math
 import os
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from ._version import __version__
 from .barycentric import BarycentricData, interp_barycentric, weights_gauss
 from .basis import BasisSpec
 from .configfile import render_value
-from .csvio import REPORT_COLUMNS, render_table
+from .csvio import REPORT_COLUMNS, render_table, report_row
 from .metrics import (
     LAMBDA_STAR,
     default_l2_rule,
@@ -94,6 +96,12 @@ class ExperimentConfig:
             check_lambda(lam)
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+        # checked whatever the noise kind, since the metadata echoes both
+        if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not (isinstance(self.noise_c, (int, float))
+                and math.isfinite(self.noise_c) and self.noise_c >= 0.0):
+            raise ValueError(f"noise_c must be finite and >= 0, got {self.noise_c!r}")
         if self.grid_equispaced < 2 or self.grid_chebyshev < 2:
             raise ValueError("grid sizes must be >= 2")
 
@@ -179,11 +187,13 @@ def _metadata(config: ExperimentConfig, table_name: str) -> list:
     return meta
 
 
-def _emit(config, name, columns, rows, plot_hints) -> list:
-    """Write name.csv and its SVG; returns the written paths."""
+def _emit(config, name, columns, rows, plot_hints, extra_meta=()) -> list:
+    """Write name.csv and its SVG; returns the written paths.  extra_meta
+    lines follow the echoed config in the CSV's metadata block."""
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, f"{name}.csv")
-    text = render_table(columns, rows, _metadata(config, name), plot_hints)
+    meta = _metadata(config, name) + list(extra_meta)
+    text = render_table(columns, rows, meta, plot_hints)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     svg_path = os.path.join(config.out_dir, f"{name}.svg")
@@ -197,76 +207,87 @@ def _additive_noise(config, index) -> NoiseSpec:
                      snr_db=config.snr_db)
 
 
-def _error_row(spec_name, L, N, lam, seed, snr_db, f_grid, approx_grid,
-               l2_rule, f_l2, approx_l2):
-    err_u = float(np.max(np.abs(f_grid - approx_grid)))
-    resid = f_l2 - approx_l2
-    err_2 = float(np.sqrt(np.sum(l2_rule.weights * resid * resid)))
-    return [spec_name, L, N, lam, seed, snr_db, err_u, err_2]
+def _noise_from_config(config: ExperimentConfig, index: int) -> NoiseSpec | None:
+    if config.noise_kind is None:
+        return None
+    if config.noise_kind == "additive-white-snr":
+        return _additive_noise(config, index)
+    return NoiseSpec("multiplicative-uniform", derive_seed(config.seed, index),
+                     c=config.noise_c)
+
+
+def _error_rows(spec_name, L, N, lambdas, seed, snr_db, f_grid, p_grid,
+                l2_rule, f_l2, p_l2) -> list:
+    """One error row per lambda for a lambda = 0 output p (on the grid and at
+    the L2 rule's nodes); the output at lambda is p / (1 + lambda)."""
+    rows = []
+    for lam in lambdas:
+        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
+        resid = f_l2 - p_l2 / (1.0 + lam)
+        err_2 = float(np.sqrt(np.sum(l2_rule.weights * resid * resid)))
+        rows.append([spec_name, L, N, lam, seed, snr_db, err_u, err_2])
+    return rows
+
+
+def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
+    """Least-squares error rows for each function in fnames, one list each.
+
+    cells are (L, N, noise index) triples, grouped by N: consecutive cells
+    with the same N share one Gauss rule.  Each sample vector is fitted and
+    evaluated once, at lambda = 0, and every lambda row scales that output by
+    1/(1+lambda).  Rows follow the order of cells, then of config.lambdas.
+    """
+    spec = BasisSpec.from_name(config.basis)
+    grid = _grid(config)
+    f_grids = [np.asarray(FUNCTIONS[fname](grid), dtype=float) for fname in fnames]
+    tables = [[] for _ in fnames]
+    for N, same_n in groupby(cells, key=lambda cell: cell[1]):
+        rule = gauss_rule(spec, N + 1)
+        group = [(L, default_l2_rule(rule, L), _noise_from_config(config, index))
+                 for L, _, index in same_n]
+        for fname, f_grid, rows in zip(fnames, f_grids, tables):
+            f = FUNCTIONS[fname]
+            f_nodes = np.asarray(f(rule.nodes), dtype=float)
+            for L, l2r, noise in group:
+                samples = f_nodes if noise is None else add_noise(f_nodes, noise)
+                f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
+                approx = fit(rule, L, 0.0, samples)
+                rows += _error_rows(
+                    spec.name, L, N, config.lambdas,
+                    None if noise is None else noise.seed,
+                    None if noise is None else noise.snr_db,
+                    f_grid, evaluate(approx, grid),
+                    l2r, f_l2, evaluate(approx, l2r.nodes))
+    return tables
+
+
+def _emit_fig12(config: ExperimentConfig, cells, x, fixed) -> list:
+    written = []
+    for fname, rows in zip(("f1", "f2"), _fit_tables(config, ("f1", "f2"), cells)):
+        hints = [f"x = {x}", "y = uniform_error, l2_error", "group-by = lambda",
+                 "logy = true", f"title = errors vs {x}, {fname}, {fixed}"]
+        written += _emit(config, f"{config.experiment}_{fname}",
+                         REPORT_COLUMNS, rows, hints)
+    return written
 
 
 def run_fig1(config: ExperimentConfig) -> list:
     """Errors versus fitted degree L at fixed N, noisy data, for f1 and f2."""
-    spec = BasisSpec.from_name(config.basis)
     N = config.n_values[0]
-    rule = gauss_rule(spec, N + 1)
-    grid = _grid(config)
-    written = []
-    for fname in ("f1", "f2"):
-        f = FUNCTIONS[fname]
-        f_grid = np.asarray(f(grid), dtype=float)
-        f_nodes = np.asarray(f(rule.nodes), dtype=float)
-        rows = []
-        for i, L in enumerate(config.l_values):
-            if L > N:
-                raise ValueError(f"L={L} exceeds N={N}")
-            noise = _additive_noise(config, i)
-            noisy = add_noise(f_nodes, noise)
-            l2r = default_l2_rule(rule, L)
-            f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-            for lam in config.lambdas:
-                approx = fit(rule, L, lam, noisy)
-                rows.append(_error_row(
-                    spec.name, L, N, lam, noise.seed, config.snr_db,
-                    f_grid, evaluate(approx, grid),
-                    l2r, f_l2, evaluate(approx, l2r.nodes)))
-        hints = ["x = L", "y = uniform_error, l2_error", "group-by = lambda",
-                 "logy = true", f"title = errors vs L, {fname}, N={N}"]
-        written += _emit(config, f"{config.experiment}_{fname}",
-                         REPORT_COLUMNS, rows, hints)
-    return written
+    for L in config.l_values:
+        if L > N:
+            raise ValueError(f"L={L} exceeds N={N}")
+    cells = [(L, N, i) for i, L in enumerate(config.l_values)]
+    return _emit_fig12(config, cells, "L", f"N={N}")
 
 
 def run_fig2(config: ExperimentConfig) -> list:
     """Errors versus rule degree N at fixed L, noisy data, for f1 and f2."""
-    spec = BasisSpec.from_name(config.basis)
     L = config.l_values[0]
     if min(config.n_values) < L:
         raise ValueError("every N must be >= L, the quadrature identity needs it")
-    grid = _grid(config)
-    written = []
-    for fname in ("f1", "f2"):
-        f = FUNCTIONS[fname]
-        f_grid = np.asarray(f(grid), dtype=float)
-        rows = []
-        for i, N in enumerate(config.n_values):
-            rule = gauss_rule(spec, N + 1)
-            f_nodes = np.asarray(f(rule.nodes), dtype=float)
-            noise = _additive_noise(config, i)
-            noisy = add_noise(f_nodes, noise)
-            l2r = default_l2_rule(rule, L)
-            f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-            for lam in config.lambdas:
-                approx = fit(rule, L, lam, noisy)
-                rows.append(_error_row(
-                    spec.name, L, N, lam, noise.seed, config.snr_db,
-                    f_grid, evaluate(approx, grid),
-                    l2r, f_l2, evaluate(approx, l2r.nodes)))
-        hints = ["x = N", "y = uniform_error, l2_error", "group-by = lambda",
-                 "logy = true", f"title = errors vs N, {fname}, L={L}"]
-        written += _emit(config, f"{config.experiment}_{fname}",
-                         REPORT_COLUMNS, rows, hints)
-    return written
+    cells = [(L, N, i) for i, N in enumerate(config.n_values)]
+    return _emit_fig12(config, cells, "N", f"L={L}")
 
 
 def run_fig3(config: ExperimentConfig) -> list:
@@ -291,11 +312,8 @@ def run_fig3(config: ExperimentConfig) -> list:
         p_grid = interp_barycentric(data, grid)
         p_l2 = interp_barycentric(data, l2r.nodes)
         for c, seed, snr in ((0, None, None), (1, noise.seed, config.snr_db)):
-            for lam in config.lambdas:
-                rows.append(_error_row(
-                    spec.name, N, N, lam, seed, snr,
-                    f_grid, p_grid[:, c] / (1.0 + lam),
-                    l2r, f_l2, p_l2[:, c] / (1.0 + lam)))
+            rows += _error_rows(spec.name, N, N, config.lambdas, seed, snr,
+                                f_grid, p_grid[:, c], l2r, f_l2, p_l2[:, c])
     hints = ["x = N", "y = l2_error, uniform_error",
              "group-by = lambda, snr_db", "logy = true",
              f"title = interpolation of {config.fn} vs N"]
@@ -356,15 +374,6 @@ def run_fig45(config: ExperimentConfig) -> list:
     return written
 
 
-def _noise_from_config(config: ExperimentConfig, index: int) -> NoiseSpec | None:
-    if config.noise_kind is None:
-        return None
-    if config.noise_kind == "additive-white-snr":
-        return _additive_noise(config, index)
-    return NoiseSpec("multiplicative-uniform", derive_seed(config.seed, index),
-                     c=config.noise_c)
-
-
 def run_sweep(config: ExperimentConfig) -> list:
     """One lambda sweep at fixed (L, N); reports the argmin per metric."""
     spec = BasisSpec.from_name(config.basis)
@@ -372,54 +381,22 @@ def run_sweep(config: ExperimentConfig) -> list:
     L = config.l_values[0]
     result = lambda_sweep(rule, L, FUNCTIONS[config.fn], config.lambdas,
                           noise=_noise_from_config(config, 0), grid=_grid(config))
-    rows = [[r.spec_name, r.L, r.N, r.lam, r.seed, r.snr_db,
-             r.uniform_error, r.l2_error] for r in result.reports]
     hints = ["x = lambda", "y = uniform_error, l2_error", "logx = true",
              "logy = true", f"title = lambda sweep, {config.fn}, L={L}"]
-    os.makedirs(config.out_dir, exist_ok=True)
-    meta = _metadata(config, config.experiment)
-    meta.append(("best-lambda-uniform_error", result.best_lambda["uniform_error"]))
-    meta.append(("best-lambda-l2_error", result.best_lambda["l2_error"]))
-    csv_path = os.path.join(config.out_dir, f"{config.experiment}.csv")
-    text = render_table(REPORT_COLUMNS, rows, meta, hints)
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    svg_path = os.path.join(config.out_dir, f"{config.experiment}.svg")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv_text(text))
-    return [csv_path, svg_path]
+    best = [(f"best-lambda-{metric}", result.best_lambda[metric])
+            for metric in ("uniform_error", "l2_error")]
+    return _emit(config, config.experiment, REPORT_COLUMNS,
+                 [report_row(r) for r in result], hints, best)
 
 
 def run_custom(config: ExperimentConfig) -> list:
     """Cross product of the configured L, N, lambda values (cells with L > N
     are skipped); one noise draw per (L, N) cell shared across lambdas."""
-    spec = BasisSpec.from_name(config.basis)
-    f = FUNCTIONS[config.fn]
-    grid = _grid(config)
-    f_grid = np.asarray(f(grid), dtype=float)
-    rows = []
-    index = 0
-    for N in config.n_values:
-        rule = gauss_rule(spec, N + 1)
-        f_nodes = np.asarray(f(rule.nodes), dtype=float)
-        for L in config.l_values:
-            if L > N:
-                continue
-            noise = _noise_from_config(config, index)
-            index += 1
-            samples = f_nodes if noise is None else add_noise(f_nodes, noise)
-            seed = noise.seed if noise is not None else None
-            snr = noise.snr_db if noise is not None else None
-            l2r = default_l2_rule(rule, L)
-            f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-            for lam in config.lambdas:
-                approx = fit(rule, L, lam, samples)
-                rows.append(_error_row(
-                    spec.name, L, N, lam, seed, snr,
-                    f_grid, evaluate(approx, grid),
-                    l2r, f_l2, evaluate(approx, l2r.nodes)))
-    if not rows:
+    pairs = [(L, N) for N in config.n_values for L in config.l_values if L <= N]
+    if not pairs:
         raise ValueError("no runnable (L, N) cells, every L exceeds every N")
+    cells = [(L, N, index) for index, (L, N) in enumerate(pairs)]
+    [rows] = _fit_tables(config, (config.fn,), cells)
     xcol = "N" if len(config.n_values) > 1 else "L"
     hints = [f"x = {xcol}", "y = uniform_error, l2_error", "group-by = lambda",
              "logy = true", f"title = custom run, {config.fn}"]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, gauss_rule
-from .regularized_fit import continuum_limit_fit, evaluate, fit, lebesgue_constant
+from .regularized_fit import (check_lambda, continuum_limit_fit, evaluate, fit,
+                              lebesgue_constant)
 from .signals import NoiseSpec, add_noise
 
 __all__ = [
@@ -117,12 +118,15 @@ def lambda_sweep(
     grid=None,
     l2_rule: QuadratureRule | None = None,
 ) -> SweepResult:
-    """Fit once per lambda against a single shared noise draw and measure both
-    errors of each fit against the clean f.  best_lambda holds the argmin
-    lambda under each metric."""
+    """Measure both errors, against the clean f, of the fit at every lambda
+    to a single shared noise draw.  The samples are fitted and evaluated once,
+    at lambda = 0; the fit at lambda is that output times 1/(1+lambda).
+    best_lambda holds the argmin lambda under each metric."""
     lambdas = [float(v) for v in np.atleast_1d(lambdas)]
     if not lambdas:
         raise ValueError("need at least one lambda")
+    for lam in lambdas:
+        check_lambda(lam)
     grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float)
     l2r = default_l2_rule(rule, L) if l2_rule is None else l2_rule
     f_nodes = np.asarray(f(rule.nodes), dtype=float)
@@ -131,11 +135,13 @@ def lambda_sweep(
     f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
     seed = noise.seed if noise is not None else None
     snr = noise.snr_db if noise is not None else None
+    approx = fit(rule, L, 0.0, samples)
+    p_grid = evaluate(approx, grid)
+    p_l2 = evaluate(approx, l2r.nodes)
     reports = []
     for lam in lambdas:
-        approx = fit(rule, L, lam, samples)
-        err_u = float(np.max(np.abs(f_grid - evaluate(approx, grid))))
-        resid = f_l2 - evaluate(approx, l2r.nodes)
+        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
+        resid = f_l2 - p_l2 / (1.0 + lam)
         err_2 = math.sqrt(float(np.sum(l2r.weights * resid * resid)))
         reports.append(
             ErrorReport(

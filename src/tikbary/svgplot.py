@@ -17,7 +17,7 @@ import math
 
 from .csvio import parse_table
 
-__all__ = ["render_csv_text", "render_table_data", "write_svg_for_csv"]
+__all__ = ["render_csv_text", "render_table_data"]
 
 _W, _H = 860, 540
 _ML, _MR, _MT, _MB = 72, 240, 42, 54
@@ -193,11 +193,3 @@ def render_table_data(table) -> str:
 
 def render_csv_text(text: str) -> str:
     return render_table_data(parse_table(text))
-
-
-def write_svg_for_csv(csv_path, svg_path) -> str:
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        svg = render_csv_text(fh.read())
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    return svg

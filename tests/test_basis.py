@@ -75,6 +75,8 @@ class TestBasisSpec:
             BasisSpec(-1.0, 0.0)
         with pytest.raises(ValueError):
             BasisSpec(0.0, -1.5)
+        with pytest.raises(ValueError, match="finite"):
+            BasisSpec(float("inf"), 0.0)
 
     def test_names(self):
         assert CHEB.name == "chebyshev1"
@@ -84,6 +86,22 @@ class TestBasisSpec:
         assert BasisSpec.from_name(" Legendre ") == LEG
         with pytest.raises(ValueError):
             BasisSpec.from_name("hermite")
+
+    @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(0.3, -0.25),
+                                      BasisSpec(0.123456789, 2.5),
+                                      BasisSpec(1e-5, 20.0)])
+    def test_names_round_trip(self, spec):
+        assert BasisSpec.from_name(spec.name) == spec
+
+    def test_jacobi_name_parsing(self):
+        assert BasisSpec.from_name(" Jacobi(0.3, -0.25) ") == JAC
+        assert BasisSpec.from_name("jacobi(1,2)") == BasisSpec(1.0, 2.0)
+        for bad in ("jacobi(0.3)", "jacobi(a,b)", "jacobi(nan,0)",
+                    "jacobi(inf,0)", "jacobi(0.3,-0.25"):
+            with pytest.raises(ValueError):
+                BasisSpec.from_name(bad)
+        with pytest.raises(ValueError, match="exceed -1"):
+            BasisSpec.from_name("jacobi(-1,0)")
 
     def test_symmetry_flag(self):
         assert CHEB.is_symmetric and LEG.is_symmetric

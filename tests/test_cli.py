@@ -179,6 +179,17 @@ class TestRun:
                             "--lambda", "nan", "--out", str(tmp_path))
         assert code == 2 and "lambda must be finite" in err
 
+    def test_nan_snr_is_a_clean_error(self, capsys, tmp_path):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text("experiment = custom\nl_values = [4]\nn_values = [8]\n",
+                       encoding="utf-8")
+        code, out, err = _run(capsys, "run", "--config", str(cfg),
+                              "--experiment", "custom", "--snr-db", "nan",
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "snr_db must be finite" in err
+        assert not (tmp_path / "custom.csv").exists()
+
     def test_experiment_with_overrides(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "run", "--experiment", "fig1",
                             "--L", "16", "--N", "32", "--out", str(tmp_path))

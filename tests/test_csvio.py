@@ -9,9 +9,7 @@ from tikbary.csvio import (
     parse_table,
     read_table,
     render_table,
-    report_columns,
     report_row,
-    write_table,
 )
 from tikbary.metrics import ErrorReport
 
@@ -63,11 +61,13 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
-        text = write_table(path, self.COLUMNS, self.ROWS, self.META, self.HINTS)
-        assert path.read_text(encoding="utf-8") == text
+        text = render_table(self.COLUMNS, self.ROWS, self.META, self.HINTS)
+        path.write_bytes(text.encode("utf-8"))
         table = read_table(path)
         assert table.columns == list(self.COLUMNS)
+        assert table.rows == parse_table(text).rows
         assert len(table.rows) == 3
+        assert table.metadata["basis"] == "jacobi(0.3,-0.25)"
 
     def test_float_precision_survives(self):
         v = float(np.nextafter(0.1, 1.0))
@@ -85,16 +85,21 @@ class TestRoundTrip:
 
 class TestReportRows:
     def test_column_order(self):
-        assert tuple(report_columns()) == REPORT_COLUMNS
+        assert REPORT_COLUMNS == ("spec", "L", "N", "lambda", "seed", "snr_db",
+                                  "uniform_error", "l2_error")
         report = ErrorReport("legendre", 8, 16, 0.5, 11, 5.0, 0.125, 0.0625,
                              10001, 42)
         row = report_row(report)
         assert row == ["legendre", 8, 16, 0.5, 11, 5.0, 0.125, 0.0625]
+        table = parse_table(render_table(REPORT_COLUMNS, [row]))
+        assert table.columns == list(REPORT_COLUMNS)
+        assert table.rows == [["legendre", "8", "16", "0.5", "11", "5",
+                               "0.125", "0.0625"]]
 
     def test_noise_free_report_leaves_blanks(self):
         report = ErrorReport("chebyshev1", 4, 4, 0.0, None, None, 0.1, 0.2,
                              101, 5)
-        text = render_table(report_columns(), [report_row(report)])
+        text = render_table(REPORT_COLUMNS, [report_row(report)])
         table = parse_table(text)
         assert table.column("seed") == [""]
         assert table.column("snr_db", as_float=True) == [None]

@@ -13,6 +13,7 @@ from tikbary.barycentric import (
 from tikbary.basis import BasisSpec
 from tikbary.configfile import parse_config_text
 from tikbary.csvio import REPORT_COLUMNS, read_table
+from tikbary import experiments
 from tikbary.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -20,8 +21,14 @@ from tikbary.experiments import (
     paper_config,
     run,
 )
-from tikbary.metrics import LAMBDA_STAR, default_l2_rule, default_uniform_grid
+from tikbary.metrics import (
+    LAMBDA_STAR,
+    default_l2_rule,
+    default_uniform_grid,
+    lambda_sweep,
+)
 from tikbary.quadrature import gauss_rule
+from tikbary.regularized_fit import evaluate, fit
 from tikbary.signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 
 
@@ -61,6 +68,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig("custom", l_values=(4,), n_values=(0,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "loud", None])
+    def test_snr_db_must_be_finite(self, bad):
+        # checked for every noise kind: a noise-free run still echoes snr_db
+        for kind in ("additive-white-snr", None):
+            with pytest.raises(ValueError, match="snr_db must be finite"):
+                ExperimentConfig("custom", l_values=(4,), n_values=(8,),
+                                 noise_kind=kind, snr_db=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, None])
+    def test_noise_c_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="noise_c must be finite"):
+            ExperimentConfig("custom", l_values=(4,), n_values=(8,),
+                             noise_kind="multiplicative-uniform", noise_c=bad)
+
     def test_value_coercion(self):
         cfg = ExperimentConfig("custom", l_values=[4.0], n_values=[8],
                                lambdas=[0, 1])
@@ -81,6 +102,17 @@ class TestConfigMapping:
         cfg = desk_config("fig1")
         text = render_config_text(cfg.to_mapping())
         assert ExperimentConfig.from_mapping(parse_config_text(text)) == cfg
+
+    def test_jacobi_basis_round_trips_through_config_text(self):
+        from tikbary.configfile import render_config_text
+        text = ("experiment = custom\nbasis = jacobi(0.3,-0.25)\n"
+                "l_values = [4]\nn_values = [8]\n")
+        cfg = ExperimentConfig.from_mapping(parse_config_text(text))
+        assert cfg.basis == "jacobi(0.3,-0.25)"
+        assert BasisSpec.from_name(cfg.basis) == BasisSpec(0.3, -0.25)
+        again = render_config_text(cfg.to_mapping())
+        assert "basis = jacobi(0.3,-0.25)\n" in again
+        assert ExperimentConfig.from_mapping(parse_config_text(again)) == cfg
 
     def test_range_expansion(self):
         cfg = ExperimentConfig.from_mapping(
@@ -221,6 +253,18 @@ class TestRunners:
         lams = [float(v) for v in table.column("lambda")]
         assert best_u in lams and best_2 in lams
 
+    def test_fig1_without_noise_matches_custom(self, tmp_path):
+        cfg = _tiny("fig1", tmp_path / "fig1", l_values=(8, 16, 32),
+                    n_values=(32,), noise_kind=None)
+        run(cfg)
+        fig1 = read_table(tmp_path / "fig1" / "fig1_f1.csv")
+        assert fig1.metadata["noise_kind"] == "none"
+        assert fig1.column("seed") == [""] * 6
+        assert fig1.column("snr_db") == [""] * 6
+        custom = replace(cfg, experiment="custom", out_dir=str(tmp_path / "custom"))
+        run(custom)
+        assert read_table(tmp_path / "custom" / "custom.csv").rows == fig1.rows
+
     def test_custom_skips_unrunnable_cells(self, tmp_path):
         cfg = ExperimentConfig(
             "custom", out_dir=str(tmp_path), l_values=(8, 32),
@@ -308,3 +352,108 @@ class TestLambdaAsAScalar:
                     rule.nodes, weights_gauss(rule), values, lam), grid)
                 got = curves.column(f"{tag}-{name}", as_float=True)
                 _assert_close_keeping_zeros(got, want)
+
+    def _per_lambda_rows(self, cfg, fname, cells):
+        """One fit and two evaluations per (cell, lambda); cells are
+        (L, N, noise) triples."""
+        spec = BasisSpec.from_name(cfg.basis)
+        f = FUNCTIONS[fname]
+        grid = default_uniform_grid(cfg.grid_equispaced, cfg.grid_chebyshev)
+        f_grid = f(grid)
+        want = []
+        for L, N, noise in cells:
+            rule = gauss_rule(spec, N + 1)
+            samples = f(rule.nodes)
+            if noise is not None:
+                samples = add_noise(samples, noise)
+            l2r = default_l2_rule(rule, L)
+            f_l2 = f(l2r.nodes)
+            for lam in cfg.lambdas:
+                approx = fit(rule, L, lam, samples)
+                resid = f_l2 - evaluate(approx, l2r.nodes)
+                want.append([
+                    np.max(np.abs(f_grid - evaluate(approx, grid))),
+                    np.sqrt(np.sum(l2r.weights * resid * resid))])
+        return want
+
+    def _check_table(self, path, cfg, cells, want):
+        table = read_table(path)
+        assert table.column("L") == [str(L) for L, _, _ in cells
+                                     for _ in cfg.lambdas]
+        assert table.column("N") == [str(N) for _, N, _ in cells
+                                     for _ in cfg.lambdas]
+        assert table.column("seed") == [
+            "" if noise is None else str(noise.seed)
+            for _, _, noise in cells for _ in cfg.lambdas]
+        assert (table.column("lambda", as_float=True)
+                == list(cfg.lambdas) * len(cells))
+        got = np.column_stack([table.column(name, as_float=True)
+                               for name in ("uniform_error", "l2_error")])
+        assert len(got) == len(want)
+        _assert_close_keeping_zeros(got, want)
+
+    @pytest.mark.parametrize("experiment", ["fig1", "fig2"])
+    def test_fig12_match_the_per_lambda_route(self, tmp_path, experiment):
+        cfg = desk_config(experiment, out_dir=str(tmp_path))
+        run(cfg)
+        if experiment == "fig1":
+            pairs = [(L, cfg.n_values[0]) for L in cfg.l_values]
+        else:
+            pairs = [(cfg.l_values[0], N) for N in cfg.n_values]
+        cells = [(L, N, NoiseSpec("additive-white-snr", derive_seed(cfg.seed, i),
+                                  snr_db=cfg.snr_db))
+                 for i, (L, N) in enumerate(pairs)]
+        for fname in ("f1", "f2"):
+            self._check_table(tmp_path / f"{experiment}_{fname}.csv", cfg, cells,
+                              self._per_lambda_rows(cfg, fname, cells))
+
+    @pytest.mark.parametrize("noise_kind", ["multiplicative-uniform", None])
+    def test_custom_matches_the_per_lambda_route(self, tmp_path, noise_kind):
+        cfg = ExperimentConfig(
+            "custom", fn="f3", out_dir=str(tmp_path), l_values=(8, 16, 40),
+            n_values=(16, 40), lambdas=(0.0, 0.1, LAMBDA_STAR, 1.0),
+            noise_kind=noise_kind, noise_c=0.4, seed=99,
+            grid_equispaced=401, grid_chebyshev=101)
+        run(cfg)
+        pairs = [(8, 16), (16, 16), (8, 40), (16, 40), (40, 40)]
+        cells = [(L, N, None if noise_kind is None else NoiseSpec(
+                    noise_kind, derive_seed(cfg.seed, i), c=cfg.noise_c))
+                 for i, (L, N) in enumerate(pairs)]
+        self._check_table(tmp_path / "custom.csv", cfg, cells,
+                          self._per_lambda_rows(cfg, cfg.fn, cells))
+
+    def test_lambda_sweep_matches_the_per_lambda_route(self):
+        cfg = ExperimentConfig("sweep", l_values=(20,), n_values=(30,),
+                               lambdas=(0.0, 1e-2, LAMBDA_STAR, 0.5, 1.0),
+                               grid_equispaced=401, grid_chebyshev=101)
+        noise = NoiseSpec("additive-white-snr", 7, snr_db=5.0)
+        rule = gauss_rule(BasisSpec.from_name(cfg.basis), 31)
+        grid = default_uniform_grid(cfg.grid_equispaced, cfg.grid_chebyshev)
+        result = lambda_sweep(rule, 20, FUNCTIONS["f2"], cfg.lambdas,
+                              noise=noise, grid=grid)
+        want = self._per_lambda_rows(cfg, "f2", [(20, 30, noise)])
+        got = [[r.uniform_error, r.l2_error] for r in result]
+        _assert_close_keeping_zeros(got, want)
+        assert [r.lam for r in result] == list(cfg.lambdas)
+
+    def test_one_rule_and_one_fit_per_sample_vector(self, tmp_path,
+                                                    monkeypatch):
+        calls = {"gauss_rule": 0, "fit": 0}
+
+        def counted(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counted(name))
+        cfg = replace(desk_config("fig2", out_dir=str(tmp_path)),
+                      lambdas=(0.0, 0.1, LAMBDA_STAR, 1.0))
+        run(cfg)
+        # one rule per N shared by f1 and f2; one fit per (function, N)
+        # whatever the number of lambdas
+        assert calls == {"gauss_rule": len(cfg.n_values),
+                         "fit": 2 * len(cfg.n_values)}

@@ -176,6 +176,13 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(rule, 8, f1, [])
 
+    def test_bad_lambdas_rejected(self):
+        # the sweep fits once at lambda = 0, so it must check every lambda itself
+        rule = gauss_rule(CHEB, 9)
+        for bad in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                lambda_sweep(rule, 8, f1, [0.1, bad])
+
     def test_noise_free_reports_carry_no_seed(self):
         rule = gauss_rule(CHEB, 9)
         report = lambda_sweep(rule, 8, f1, 0.0).reports[0]

@@ -3,7 +3,7 @@
 import pytest
 
 from tikbary.csvio import render_table
-from tikbary.svgplot import render_csv_text, write_svg_for_csv
+from tikbary.svgplot import render_csv_text
 
 
 def _sample_csv(hints=("x = x", "y = value"), rows=None):
@@ -85,12 +85,3 @@ class TestEscaping:
         assert "a &lt; b &amp; c" in svg
         assert "a < b & c" not in svg
 
-
-class TestFileOutput:
-    def test_write_from_csv_file(self, tmp_path):
-        csv_path = tmp_path / "t.csv"
-        csv_path.write_text(_sample_csv(), encoding="utf-8")
-        svg_path = tmp_path / "t.svg"
-        content = write_svg_for_csv(csv_path, svg_path)
-        assert svg_path.read_text(encoding="utf-8") == content
-        assert content.startswith("<svg ")
