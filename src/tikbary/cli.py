@@ -148,6 +148,11 @@ def _cmd_run(args) -> int:
         config = ExperimentConfig.from_mapping(read_config(args.config))
         if args.experiment is not None:
             config = replace(config, experiment=args.experiment)
+    elif args.experiment == "custom":
+        # no shipped scale for custom: the ExperimentConfig defaults plus L, N
+        if args.L is None or args.N is None:
+            raise ValueError("--experiment custom without --config needs --L and --N")
+        config = ExperimentConfig("custom", l_values=(args.L,), n_values=(args.N,))
     elif args.experiment is not None:
         factory = paper_config if args.scale == "paper" else desk_config
         config = factory(args.experiment)

@@ -59,6 +59,15 @@ _CONFIG_KEYS = (
 )
 
 
+def _whole(key: str, value) -> int:
+    """value as an int if it is a whole number (2001 or 2001.0), else ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{key}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; round-trips losslessly through a config file."""
@@ -83,8 +92,8 @@ class ExperimentConfig:
         BasisSpec.from_name(self.basis)  # raises on a bad name
         if self.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {self.fn!r}")
-        object.__setattr__(self, "l_values", tuple(int(v) for v in self.l_values))
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        for key in ("l_values", "n_values"):
+            object.__setattr__(self, key, tuple(_whole(key, v) for v in getattr(self, key)))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if not self.l_values or not self.n_values:
             raise ValueError("l_values and n_values must be nonempty")
@@ -102,8 +111,11 @@ class ExperimentConfig:
         if not (isinstance(self.noise_c, (int, float))
                 and math.isfinite(self.noise_c) and self.noise_c >= 0.0):
             raise ValueError(f"noise_c must be finite and >= 0, got {self.noise_c!r}")
-        if self.grid_equispaced < 2 or self.grid_chebyshev < 2:
-            raise ValueError("grid sizes must be >= 2")
+        for key in ("grid_equispaced", "grid_chebyshev"):
+            size = _whole(key, getattr(self, key))
+            if size < 2:
+                raise ValueError(f"{key} must be >= 2, got {size}")
+            object.__setattr__(self, key, size)
 
     def to_mapping(self) -> dict:
         out = {}

@@ -1,21 +1,27 @@
 """Gauss quadrature rules for Jacobi weights.
 
-Nodes are the zeros of the degree-(N+1) orthogonal polynomial, obtained as
-eigenvalues of the symmetric tridiagonal recurrence matrix; weights come from
-the first eigenvector components.  Chebyshev first kind short-circuits to the
-analytic rule, with the eigensolver path kept around as a cross-check.
+Nodes are the zeros of the degree-(N+1) orthonormal polynomial p_{N+1}.
+LAPACK finds them as the eigenvalues of the symmetric tridiagonal Jacobi
+matrix (Golub & Welsch, 1969), and one Newton step on p_{N+1}, evaluated by
+the three-term recurrence, polishes them (as in Hale & Townsend, SIAM J.
+Sci. Comput. 35, 2013).  The weights are the Christoffel numbers
+1 / sum_{l<=N} p_l(x_j)^2 at the polished nodes.  The same recurrence sweep
+gives p_{N+1}, its derivative and that sum, three rows at a time, so no
+(N+1)^2 table is built.  Chebyshev first kind short-circuits to the
+closed-form rule.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .basis import BasisSpec, eval_orthonormal, recurrence_coefficients
 
-__all__ = ["QuadratureRule", "gauss_rule", "gauss_rule_golub_welsch", "exactness_residual"]
+__all__ = ["QuadratureRule", "gauss_rule", "exactness_residual"]
 
-# two nodes closer than this signal eigensolver breakdown
+# two nodes closer than this signal a broken rule
 _NODE_GAP_FLOOR = 1e-14
 
 
@@ -56,7 +62,7 @@ def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
     """The unique (N+1)-point Gauss rule for the spec, N+1 = points.
 
     Chebyshev first kind uses the closed-form nodes and equal weights;
-    everything else goes through the tridiagonal eigenproblem.
+    everything else goes through _gauss_rule_recurrence.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -67,21 +73,21 @@ def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
         nodes = np.sin((2.0 * j + 1.0 - points) * (math.pi / (2.0 * points)))
         weights = np.full(points, math.pi / points)
         return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
-    return gauss_rule_golub_welsch(spec, points)
+    return _gauss_rule_recurrence(spec, points)
 
 
-def gauss_rule_golub_welsch(spec: BasisSpec, points: int) -> QuadratureRule:
-    """Generic eigen-decomposition path, valid for any spec."""
-    if points < 1:
-        raise ValueError("points must be >= 1")
+def _gauss_rule_recurrence(spec: BasisSpec, points: int) -> QuadratureRule:
+    """Generic path, valid for any spec: LAPACK nodes, Newton-polished.
+
+    The Christoffel numbers are written V / sum_{l<points} (sqrt(V) p_l)^2,
+    so that a one-point rule gets the mass V exactly.
+    """
     table = recurrence_coefficients(spec, points + 1)
-    diag = table.a[:points].copy()
-    off = np.sqrt(table.b[1:points])
-    eigenvalues, first_row = _tridiag_eigen_first_row(diag, off)
-    order = np.argsort(eigenvalues)
-    nodes = eigenvalues[order]
-    weights = table.b[0] * first_row[order] ** 2
-    return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
+    nodes = scipy.linalg.eigvalsh_tridiagonal(table.a[:points], np.sqrt(table.b[1:points]))
+    p, dp, _ = _recurrence_pass(table, points, nodes)
+    nodes = nodes - p / dp
+    _, _, sum_sq = _recurrence_pass(table, points, nodes)
+    return QuadratureRule(spec=spec, nodes=nodes, weights=table.b[0] / sum_sq)
 
 
 def exactness_residual(rule: QuadratureRule, degree: int) -> float:
@@ -98,71 +104,22 @@ def exactness_residual(rule: QuadratureRule, degree: int) -> float:
     return float(np.max(np.abs(sums)))
 
 
-def _tridiag_eigen_first_row(diag, off, max_iter: int = 50):
-    """QL with implicit shifts on a symmetric tridiagonal matrix.
+def _recurrence_pass(table, n: int, x):
+    """sqrt(V) times p_n(x) and p_n'(x), and sum_{l<n} (sqrt(V) p_l(x))^2.
 
-    Returns all eigenvalues plus the first row of the orthogonal eigenvector
-    matrix, which is the only part Gauss weights need.  Rotations therefore
-    update a single row vector instead of a full matrix, making each sweep
-    O(n).  Raises on non-convergence (more than max_iter sweeps for one
-    eigenvalue).
+    One sweep of the orthonormal recurrence started from sqrt(V) p_0 = 1,
+    holding three rows at a time, so memory is O(x.size) whatever n is.
     """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
-    e = np.zeros(n)
-    e[: n - 1] = np.asarray(off, dtype=float)
-    z = np.zeros(n)
-    z[0] = 1.0
-    eps = np.finfo(float).eps
-    for l in range(n):
-        iterations = 0
-        while True:
-            # find the first negligible off-diagonal at or beyond l
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            if iterations >= max_iter:
-                raise RuntimeError(
-                    f"tridiagonal QL failed to converge for eigenvalue {l} "
-                    f"of {n} after {max_iter} sweeps"
-                )
-            iterations += 1
-            # implicit shift from the 2x2 block at l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # recover from underflow: skip the rest of this sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                z_next = z[i + 1]
-                z[i + 1] = s * z[i] + c * z_next
-                z[i] = c * z[i] - s * z_next
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return d, z
+    sqb = np.sqrt(table.b)
+    p_prev = np.zeros_like(x)
+    p = np.ones_like(x)
+    dp_prev = np.zeros_like(x)
+    dp = np.zeros_like(x)
+    sum_sq = np.zeros_like(x)
+    for k in range(n):
+        sum_sq += p * p
+        p_next = ((x - table.a[k]) * p - sqb[k] * p_prev) / sqb[k + 1]
+        dp_next = (p + (x - table.a[k]) * dp - sqb[k] * dp_prev) / sqb[k + 1]
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return p, dp, sum_sq

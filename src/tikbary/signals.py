@@ -9,17 +9,14 @@ Three benchmark functions on [-1, 1]:
 plus f1 with a sin(10 x) term added, used to break even symmetry in the
 multiplicative-noise experiments.
 
-The Airy function is evaluated in-house: the Maclaurin series in 50-digit
-arithmetic for |t| <= 8 (the two series cancel about 13 leading digits near
-t = 8, which doubles cannot absorb), and the standard asymptotic expansions
-in doubles beyond.  Noise is drawn from a counter-based generator so every
-sample is reproducible from (seed, index) alone.
+Ai comes from scipy.special.airy; on t in [-40, 40] it agrees with
+50-digit mpmath to 6.1e-15 absolute.  Noise is drawn from a counter-based
+generator so every sample is reproducible from (seed, index) alone.
 """
 
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -35,93 +32,15 @@ __all__ = [
     "derive_seed",
 ]
 
-_SERIES_CUTOFF = 8.0
-_SERIES_TOL = 1e-18  # stop when a term drops below this times the partial sum
-
-with mpmath.workdps(50):
-    # Ai(0) and -Ai'(0); the two sums near |t| = 8 run to ~1e6 while their
-    # combination is ~5e-8, so the stopping test must watch the combined
-    # partial sum, not each sum alone, and the arithmetic needs the headroom.
-    _AI_C1 = mpmath.mpf(3) ** mpmath.mpf("-2/3") / mpmath.gamma(mpmath.mpf("2/3"))
-    _AI_C2 = mpmath.mpf(3) ** mpmath.mpf("-1/3") / mpmath.gamma(mpmath.mpf("1/3"))
-
-
-def _airy_series(t: float) -> float:
-    # Ai(t) = c1 f(t) - c2 g(t) with f, g the two Maclaurin sums.
-    with mpmath.workdps(50):
-        tm = mpmath.mpf(t)
-        t3 = tm**3
-        da = mpmath.mpf(1)
-        db = tm
-        total = _AI_C1 * da - _AI_C2 * db
-        floor = mpmath.mpf("1e-60")
-        k = 0
-        while True:
-            k += 1
-            da *= t3 / ((3 * k - 1) * (3 * k))
-            db *= t3 / ((3 * k) * (3 * k + 1))
-            total += _AI_C1 * da - _AI_C2 * db
-            left = abs(_AI_C1 * da) + abs(_AI_C2 * db)
-            if left < _SERIES_TOL * abs(total) or left < floor:
-                break
-        return float(total)
-
-
-def _asymptotic_sums(zeta: float, parts: int):
-    """Partial sums of u_k / zeta^k, truncated where the terms stop shrinking.
-
-    parts=1 gives the single alternating sum for the decaying branch; parts=2
-    gives the even and odd sums for the oscillatory branch.
-    """
-    sums = [0.0, 0.0]
-    term = 1.0
-    prev = math.inf
-    k = 0
-    while abs(term) < prev and abs(term) > 1e-19 * max(abs(sums[0]), 1.0):
-        prev = abs(term)
-        if parts == 1:
-            sums[0] += term if k % 2 == 0 else -term
-        else:
-            which = k % 2
-            flip = (k // 2) % 2
-            sums[which] += -term if flip else term
-        k += 1
-        term *= (6 * k - 5) * (6 * k - 1) / (72 * k * zeta)
-    return sums
-
-
-def _airy_right(t: float) -> float:
-    zeta = (2.0 / 3.0) * t**1.5
-    s = _asymptotic_sums(zeta, 1)[0]
-    return math.exp(-zeta) * s / (2.0 * math.sqrt(math.pi) * t**0.25)
-
-
-def _airy_left(t: float) -> float:
-    s = -t
-    zeta = (2.0 / 3.0) * s**1.5
-    even, odd = _asymptotic_sums(zeta, 2)
-    phase = zeta + 0.25 * math.pi
-    return (math.sin(phase) * even - math.cos(phase) * odd) / (
-        math.sqrt(math.pi) * s**0.25
-    )
-
-
-def _airy_scalar(t: float) -> float:
-    if abs(t) <= _SERIES_CUTOFF:
-        return _airy_series(t)
-    return _airy_right(t) if t > 0.0 else _airy_left(t)
-
 
 def airy_ai(t):
-    """Airy function of the first kind, elementwise."""
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        return _airy_scalar(float(t))
-    out = np.empty(t.shape)
-    flat = t.ravel()
-    for i in range(flat.size):
-        out.flat[i] = _airy_scalar(float(flat[i]))
-    return out
+    """Airy function of the first kind, elementwise; a float for scalar t."""
+    # imported on first use: only f2 needs it, and loading scipy.special
+    # with the package slowed the start-up of every run by about 17 ms
+    import scipy.special
+
+    ai = scipy.special.airy(np.asarray(t, dtype=float))[0]
+    return float(ai) if ai.ndim == 0 else ai
 
 
 def f1(x):

@@ -1,5 +1,10 @@
 """Command line interface, driven in process through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,9 @@ from tikbary.csvio import parse_table, read_table, render_table
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import normal_equations_oracle
 from tikbary.signals import f1
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(capsys, *argv):
@@ -189,6 +197,43 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "snr_db must be finite" in err
         assert not (tmp_path / "custom.csv").exists()
+
+    @pytest.mark.parametrize("size", ["many", "2.5"])
+    def test_bad_grid_size_is_a_clean_error(self, capsys, tmp_path, size):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text("experiment = custom\nl_values = [4]\nn_values = [8]\n"
+                       f"grid_equispaced = {size}\n", encoding="utf-8")
+        code, out, err = _run(capsys, "run", "--config", str(cfg),
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "grid_equispaced" in err
+
+    def test_custom_from_flags(self, capsys, tmp_path):
+        code, out, _ = _run(capsys, "run", "--experiment", "custom", "--L", "4",
+                            "--N", "8", "--fn", "f2", "--out", str(tmp_path))
+        assert code == 0
+        names = [p.split("/")[-1] for p in out.strip().splitlines()]
+        assert names == ["custom.csv", "custom.svg"]
+        table = read_table(tmp_path / "custom.csv")
+        assert table.column("L") == ["4", "4"] and table.column("N") == ["8", "8"]
+        meta = dict(table.metadata)
+        assert meta["fn"] == "f2" and meta["grid_equispaced"] == "10001"
+
+    def test_custom_without_degrees_names_them(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "run", "--experiment", "custom", "--L", "4",
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--L" in err and "--N" in err
+
+    def test_import_leaves_mpmath_and_scipy_special_out(self):
+        # mpmath is a test-only dependency, and scipy.special loads on the
+        # first Airy call; either at import would slow every run's start-up
+        probe = ("import sys, tikbary.cli; "
+                 "print(any(m in sys.modules for m in ('mpmath', 'scipy.special')))")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": _SRC})
+        assert done.stdout.strip() == "False"
 
     def test_experiment_with_overrides(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "run", "--experiment", "fig1",

@@ -82,11 +82,29 @@ class TestConfigValidation:
             ExperimentConfig("custom", l_values=(4,), n_values=(8,),
                              noise_kind="multiplicative-uniform", noise_c=bad)
 
+    @pytest.mark.parametrize("key", ["grid_equispaced", "grid_chebyshev"])
+    @pytest.mark.parametrize("bad", ["many", 2.5, float("nan"), float("inf"), True, None, 1])
+    def test_grid_sizes_must_be_whole_numbers(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig("custom", l_values=(4,), n_values=(8,), **{key: bad})
+
+    @pytest.mark.parametrize("key", ["l_values", "n_values"])
+    @pytest.mark.parametrize("bad", [4.7, "4", float("nan"), None])
+    def test_degrees_must_be_whole_numbers(self, key, bad):
+        # int() would have truncated 4.7 to 4 and run a different degree
+        degrees = {"l_values": (4,), "n_values": (8,), key: (bad,)}
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig("custom", **degrees)
+
     def test_value_coercion(self):
         cfg = ExperimentConfig("custom", l_values=[4.0], n_values=[8],
                                lambdas=[0, 1])
         assert cfg.l_values == (4,) and isinstance(cfg.l_values[0], int)
         assert cfg.lambdas == (0.0, 1.0)
+        cfg = ExperimentConfig("custom", l_values=(4,), n_values=(8,),
+                               grid_equispaced=101.0, grid_chebyshev=np.int64(51))
+        assert (cfg.grid_equispaced, cfg.grid_chebyshev) == (101, 51)
+        assert type(cfg.grid_equispaced) is int and type(cfg.grid_chebyshev) is int
 
 
 class TestConfigMapping:

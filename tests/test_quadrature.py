@@ -1,11 +1,13 @@
-"""Gauss rules: analytic short-circuit, eigensolver path, exactness.
+"""Gauss rules: analytic short-circuit, generic recurrence path, exactness.
 
-Independent oracles: scipy.linalg.eigh_tridiagonal on the same recurrence
+Independent oracles: 40-digit rules from mpmath's gauss_quadrature, the
+eigenvectors of scipy.linalg.eigh_tridiagonal on the same recurrence
 matrix, numpy's leggauss, and closed-form rules worked out by hand.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
@@ -14,9 +16,9 @@ import scipy.linalg
 from tikbary.basis import BasisSpec, eval_orthonormal, recurrence_coefficients
 from tikbary.quadrature import (
     QuadratureRule,
+    _gauss_rule_recurrence,
     exactness_residual,
     gauss_rule,
-    gauss_rule_golub_welsch,
 )
 
 CHEB = BasisSpec.chebyshev1()
@@ -62,7 +64,7 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("pts", [8, 65, 256])
     def test_chebyshev_analytic_matches_eigensolver(self, pts):
         analytic = gauss_rule(CHEB, pts)
-        eig = gauss_rule_golub_welsch(CHEB, pts)
+        eig = _gauss_rule_recurrence(CHEB, pts)
         np.testing.assert_allclose(eig.nodes, analytic.nodes, atol=1e-13)
         np.testing.assert_allclose(eig.weights, analytic.weights, rtol=1e-11)
 
@@ -77,6 +79,20 @@ class TestAgainstOracles:
         np.testing.assert_allclose(rule.weights,
                                    table.b[0] * evecs[0, :] ** 2,
                                    rtol=0, atol=5e-13)
+
+    # measured worst: nodes 2.2e-16 absolute, weights 4.5e-14 relative
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.3, -0.25), (20.0, -0.9),
+                                      (-0.99, -0.99), (20.0, 20.0), (-0.9, 8.0)])
+    @pytest.mark.parametrize("pts", [5, 40])
+    def test_matches_mpmath_at_40_digits(self, a, b, pts):
+        with mpmath.workdps(40):
+            x, w = mpmath.gauss_quadrature(pts, "jacobi", a, b)
+            x = np.array([float(v) for v in x])
+            w = np.array([float(v) for v in w])
+        order = np.argsort(x)
+        rule = gauss_rule(BasisSpec(a, b), pts)
+        assert np.max(np.abs(rule.nodes - x[order])) <= 5e-16
+        assert np.max(np.abs(rule.weights / w[order] - 1.0)) <= 1e-13
 
     def test_matches_numpy_leggauss(self):
         x, w = npleg.leggauss(64)
@@ -112,6 +128,21 @@ class TestExactness:
                 / math.sqrt(spec.mass)
             assert exactness_residual(rule, 0) == pytest.approx(
                 expected, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    def test_large_exponents_keep_the_end_weights(self, n):
+        # the tiny end weights of jacobi(20, 20) must keep their relative
+        # accuracy, or the defect through degree 2n-1 grows to O(1)
+        rule = gauss_rule(BasisSpec(20.0, 20.0), n)
+        assert exactness_residual(rule, 2 * n - 1) < 1e-12
+
+    @pytest.mark.parametrize("a, b, n", [(20.0, -0.9, 300), (-0.99, -0.99, 1000)])
+    def test_ill_conditioned_corners(self, a, b, n):
+        # measured 1.0e-10 and 7.6e-10.  What is left comes from evaluating
+        # p_l up to degree 2n-1 near the endpoints, not from the rule: the
+        # 40-digit jacobi(20, -0.9) rule rounded to doubles reads 6.2e-9
+        rule = gauss_rule(BasisSpec(a, b), n)
+        assert exactness_residual(rule, 2 * n - 1) < 2e-9
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -161,8 +192,6 @@ class TestValidation:
     def test_point_count_must_be_positive(self):
         with pytest.raises(ValueError):
             gauss_rule(LEG, 0)
-        with pytest.raises(ValueError):
-            gauss_rule_golub_welsch(LEG, 0)
 
     def test_constructor_rejects_bad_data(self):
         w = np.array([1.0, 1.0])

