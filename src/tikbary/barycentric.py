@@ -14,13 +14,19 @@ the classical interpolant; lambda > 0 multiplies it by 1/(1+lambda).
 The quotient form also takes k sample vectors at once, stacked as the
 columns of an (N+1, k) values array: one pass over the Cauchy table
 W_j/(x - x_j) serves every column.
+
+Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
+the work tables stay cache-sized at any N.  The block size does not change a
+bit of the output: each row of the table is reduced by the same contiguous
+pairwise sum whatever block it sits in, and node hits, the division by the
+denominator and the zero check are done once per call over all of x.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_orthonormal
+from .basis import _orthonormal_rows
 from .quadrature import QuadratureRule
 from .regularized_fit import check_lambda
 
@@ -35,7 +41,10 @@ __all__ = [
 # beyond this many nodes raw products of ~N factors risk leaving double range
 _DIRECT_PRODUCT_LIMIT = 513
 
-_BLOCK = 1024  # grid chunking for the (points x nodes) difference tables
+# entries per (points x nodes) work table: 256 KiB of doubles, so the two
+# tables of interp_barycentric fit in L2 together; in sweeps of 8k..128k
+# entries over fig3 at paper scale, 32k and 64k ran fastest
+_BLOCK_ENTRIES = 32768
 
 
 def weights_product(nodes) -> np.ndarray:
@@ -64,13 +73,14 @@ def weights_product(nodes) -> np.ndarray:
 def weights_gauss(rule: QuadratureRule) -> np.ndarray:
     """Weights from the quadrature relation W_j proportional to w_j p_N(x_j).
 
-    One recurrence sweep instead of the O(N^2) product formula.  The output
-    shares only a common scalar factor with weights_product, which is all the
-    quotient form needs; the modified Lagrange form re-anchors the scale
-    itself.
+    One recurrence sweep over the N+1 nodes, O(N^2) operations like the
+    product formula but holding only two rows of p_l(x_j), never the
+    (N+1) x (N+1) table.  The output shares only a common scalar factor with
+    weights_product, which is all the quotient form needs; the modified
+    Lagrange form re-anchors the scale itself.
     """
-    n = rule.degree
-    phi_n = eval_orthonormal(rule.spec, n, rule.nodes)[n]
+    for phi_n in _orthonormal_rows(rule.spec, rule.degree, rule.nodes):
+        pass
     return rule.weights * phi_n
 
 
@@ -142,12 +152,28 @@ def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, cols[rows]
 
 
-def _differences(nodes: np.ndarray, block: np.ndarray, out=None):
-    """Table x - x_j for a block of points, node hits set to 1, plus the hits."""
-    hit_rows, hit_cols = _node_hits(nodes, block)
-    diffs = np.subtract(block[:, None], nodes[None, :], out=out)
-    diffs[hit_rows, hit_cols] = 1.0
-    return diffs, hit_rows, hit_cols
+def _block_rows(points: int, nodes: int) -> int:
+    """Rows per block: about _BLOCK_ENTRIES table entries, at least one row."""
+    return max(1, min(points, _BLOCK_ENTRIES // nodes))
+
+
+def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows, hit_cols):
+    """Yield (rows, table): x[rows] - x_j for consecutive row blocks of x.
+
+    Entries at node hits (hit_rows, hit_cols, sorted by row) hold 1 in place
+    of the zero difference.  Every table is a view of one work array of
+    _block_rows rows, overwritten by the next block.
+    """
+    step = _block_rows(x.size, nodes.size)
+    work = np.empty((step, nodes.size))
+    starts = range(0, x.size, step)
+    cuts = np.searchsorted(hit_rows, [*starts, x.size]).tolist()
+    for b, start in enumerate(starts):
+        stop = min(start + step, x.size)
+        table = np.subtract(x[start:stop, None], nodes, out=work[: stop - start])
+        lo, hi = cuts[b], cuts[b + 1]
+        table[hit_rows[lo:hi] - start, hit_cols[lo:hi]] = 1.0
+        yield slice(start, stop), table
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
@@ -168,12 +194,11 @@ def interp_modified_lagrange(data: BarycentricData, x):
     xv = np.atleast_1d(x).ravel()
     shrink = 1.0 + data.lam
     log_c, sign_c = _product_scale_anchor(data)
+    hit_rows, hit_cols = _node_hits(data.nodes, xv)
     out = np.empty(xv.size)
-    for start in range(0, xv.size, _BLOCK):
-        block = xv[start : start + _BLOCK]
+    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows, hit_cols):
         # hit rows hold 1 in place of the zero difference; their node
         # polynomial is wrong but they are overwritten below
-        diffs, hit_rows, hit_cols = _differences(data.nodes, block)
         inner = (data.weights * data.values / diffs).sum(axis=1)
         if len(data) <= _DIRECT_PRODUCT_LIMIT:
             node_poly = np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
@@ -181,9 +206,8 @@ def interp_modified_lagrange(data: BarycentricData, x):
             log_poly = np.sum(np.log(np.abs(diffs)), axis=1)
             sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
             node_poly = sign_poly * sign_c * np.exp(log_poly + log_c)
-        vals = node_poly * inner / shrink
-        vals[hit_rows] = data.values[hit_cols] / shrink
-        out[start : start + _BLOCK] = vals
+        out[rows] = node_poly * inner / shrink
+    out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
 
@@ -202,27 +226,25 @@ def interp_barycentric(data: BarycentricData, x):
     xv = x.ravel()
     shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)
-    out = np.empty((xv.size, values.shape[1]))
-    # work tables allocated once per call, not per block: per-block tables
-    # of (1024 x N+1) doubles pile up in the allocator and raise peak RSS
-    table = np.empty((min(_BLOCK, xv.size), len(data)))
-    terms = np.empty_like(table)
-    for start in range(0, xv.size, _BLOCK):
-        block = xv[start : start + _BLOCK]
-        rows = block.size
-        diffs, hit_rows, hit_cols = _differences(data.nodes, block, table[:rows])
+    hit_rows, hit_cols = _node_hits(data.nodes, xv)
+    columns = [np.ascontiguousarray(values[:, c]) for c in range(values.shape[1])]
+    out = np.empty((xv.size, len(columns)))  # numerators until the division
+    denom = np.empty(xv.size)
+    # the second work table, as large as the difference table of a block;
+    # both stay cache-sized, so each pass over them stays out of memory
+    terms = np.empty((_block_rows(xv.size, len(data)), len(data)))
+    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows, hit_cols):
         ratios = np.divide(data.weights, diffs, out=diffs)
-        denom = ratios.sum(axis=1)
-        denom[hit_rows] = 1.0  # masked below
-        if np.any(denom == 0.0):
-            raise RuntimeError(
-                "barycentric denominator vanished off-node; weights are inconsistent"
-            )
-        scaled = shrink * denom
-        vals = out[start : start + _BLOCK]
-        for c in range(values.shape[1]):
-            np.multiply(ratios, values[:, c], out=terms[:rows])
-            vals[:, c] = terms[:rows].sum(axis=1) / scaled
-        vals[hit_rows] = values[hit_cols] / shrink
+        denom[rows] = ratios.sum(axis=1)
+        products = terms[: ratios.shape[0]]
+        for c, column in enumerate(columns):
+            out[rows, c] = np.multiply(ratios, column, out=products).sum(axis=1)
+    denom[hit_rows] = 1.0  # masked below
+    if np.any(denom == 0.0):
+        raise RuntimeError(
+            "barycentric denominator vanished off-node; weights are inconsistent"
+        )
+    out /= (shrink * denom)[:, None]
+    out[hit_rows] = values[hit_cols] / shrink
     out = out.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out

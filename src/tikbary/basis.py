@@ -135,6 +135,23 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
     return RecurrenceTable(a=a, b=b)
 
 
+def _orthonormal_rows(spec: BasisSpec, l_max: int, x: np.ndarray):
+    """Yield p_0(x), ..., p_l_max(x) from the normalized recurrence.
+
+    Holds two rows at a time, so a caller that needs only the last one
+    never builds the (l_max+1) x |x| table.
+    """
+    table = recurrence_coefficients(spec, l_max + 2)
+    sqb = np.sqrt(table.b)
+    p_prev = np.zeros_like(x)
+    p_curr = np.full_like(x, 1.0 / sqb[0])
+    yield p_curr
+    for k in range(l_max):
+        p_next = ((x - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
+        yield p_next
+        p_prev, p_curr = p_curr, p_next
+
+
 def eval_orthonormal(spec: BasisSpec, l_max: int, x) -> np.ndarray:
     """Values of the orthonormal family at x, rows l = 0..l_max.
 
@@ -146,16 +163,9 @@ def eval_orthonormal(spec: BasisSpec, l_max: int, x) -> np.ndarray:
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     x = np.asarray(x, dtype=float)
-    table = recurrence_coefficients(spec, l_max + 2)
-    sqb = np.sqrt(table.b)
     out = np.empty((l_max + 1,) + x.shape)
-    p_prev = np.zeros_like(x)
-    p_curr = np.full_like(x, 1.0 / sqb[0])
-    out[0] = p_curr
-    for k in range(l_max):
-        p_next = ((x - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
-        out[k + 1] = p_next
-        p_prev, p_curr = p_curr, p_next
+    for l, row in enumerate(_orthonormal_rows(spec, l_max, x)):
+        out[l] = row
     return out
 
 

@@ -6,10 +6,12 @@ semantics at and near nodes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tikbary.barycentric as barycentric
 from tikbary.barycentric import (
     BarycentricData,
     _node_hits,
@@ -321,6 +323,79 @@ class TestStackedValues:
         _, data = self._data(21, 0.0)
         with pytest.raises(ValueError, match="one sample vector"):
             interp_modified_lagrange(data, 0.3)
+
+
+class TestBlockIndependence:
+    """The row block is a cache-size choice: no budget changes a bit."""
+
+    BUDGETS = (7, 10**9)  # one row per block; one block for every x
+
+    @staticmethod
+    def _x(rule):
+        step = barycentric._block_rows(10**6, len(rule))
+        inside = _rng(13).uniform(-0.99, 0.99, 3 * step + 5)
+        # node hits on the first and last row of a default block and just past it
+        for row in (0, step - 1, step, 2 * step - 1):
+            inside[row] = rule.nodes[row % len(rule)]
+        return inside
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    @pytest.mark.parametrize("pts", [21, 600])
+    def test_budget_changes_no_bit(self, monkeypatch, pts, k):
+        rule = gauss_rule(CHEB, pts)
+        cols = np.column_stack([f1(rule.nodes), np.cos(3.0 * rule.nodes),
+                                _rng(pts).uniform(-1.0, 1.0, pts)])
+        values = cols[:, 0] if k is None else cols[:, :k]
+        data = BarycentricData(rule.nodes, weights_gauss(rule), values,
+                               LAMBDA_STAR)
+        inside = self._x(rule)
+        unsorted = _rng(14).permutation(inside)
+        points = (inside, unsorted, unsorted[:80].reshape(8, 10))
+        forms = [interp_barycentric]
+        if k is None:
+            forms.append(interp_modified_lagrange)
+        default = [[form(data, x) for x in points] for form in forms]
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(barycentric, "_BLOCK_ENTRIES", budget)
+            for form, want in zip(forms, default):
+                for x, expected in zip(points, want):
+                    np.testing.assert_array_equal(form(data, x), expected)
+
+    @pytest.mark.parametrize("budget", (barycentric._BLOCK_ENTRIES,) + BUDGETS)
+    def test_empty_x(self, monkeypatch, budget):
+        monkeypatch.setattr(barycentric, "_BLOCK_ENTRIES", budget)
+        rule = gauss_rule(CHEB, 21)
+        one = BarycentricData(rule.nodes, weights_gauss(rule), f1(rule.nodes))
+        two = BarycentricData(rule.nodes, weights_gauss(rule),
+                              np.column_stack([f1(rule.nodes)] * 2))
+        assert interp_barycentric(one, np.empty(0)).shape == (0,)
+        assert interp_barycentric(two, np.empty(0)).shape == (0, 2)
+        assert interp_modified_lagrange(one, np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("budget", (barycentric._BLOCK_ENTRIES,) + BUDGETS)
+    def test_vanishing_denominator_still_raises(self, monkeypatch, budget):
+        monkeypatch.setattr(barycentric, "_BLOCK_ENTRIES", budget)
+        data = BarycentricData(np.array([-1.0, 1.0]), np.array([1.0, -1.0]),
+                               np.ones((2, 3)))
+        object.__setattr__(data, "weights", np.array([1.0, 1.0]))
+        x = np.array([-1.0, 0.5, 1.0, 0.0, -1.0])  # the zero after a hit
+        with pytest.raises(RuntimeError, match="denominator vanished"):
+            interp_barycentric(data, x)
+
+    def test_work_tables_stay_small(self):
+        # paper-scale fig3 at its largest N: the work tables must not grow
+        # with the number of points (1024-row blocks took about 16 MiB)
+        rule = gauss_rule(CHEB, 1001)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               np.column_stack([f1(rule.nodes)] * 2))
+        x = np.linspace(-1.0, 1.0, 12002)
+        tracemalloc.start()
+        try:
+            got = interp_barycentric(data, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes < 2 * 2**20
 
 
 class TestAgainstCoefficientRoute:

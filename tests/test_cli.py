@@ -160,6 +160,13 @@ class TestInterp:
         np.testing.assert_array_equal(table.column("value", as_float=True),
                                       expected)
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_eval_points_below_one_is_a_clean_error(self, capsys, points):
+        code, out, err = _run(capsys, "interp", "--N", "12", "--fn", "f1",
+                              "--eval-points", points)
+        assert code == 2 and out == ""
+        assert err == f"error: --eval-points must be >= 1, got {points}\n"
+
 
 class TestSweep:
     def test_default_grid_no_noise(self, capsys, tmp_path):
