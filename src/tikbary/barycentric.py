@@ -20,6 +20,9 @@ the work tables stay cache-sized at any N.  The block size does not change a
 bit of the output: each row of the table is reduced by the same contiguous
 pairwise sum whatever block it sits in, and node hits, the division by the
 denominator and the zero check are done once per call over all of x.
+
+The Lebesgue function of interpolation in Gauss points, sum_j |l_j(x)|,
+uses the same difference blocks and node polynomial in first-kind form.
 """
 
 from dataclasses import dataclass
@@ -126,18 +129,18 @@ class BarycentricData:
         return self.nodes.size
 
 
-def _product_scale_anchor(data: BarycentricData) -> tuple[float, float]:
+def _product_scale_anchor(nodes: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Log-magnitude and sign of the factor mapping stored weights to product scale.
 
     Computed at the index of largest stored weight: the true product-formula
     weight there, divided by the stored one.
     """
-    j = int(np.argmax(np.abs(data.weights)))
-    diffs = data.nodes[j] - data.nodes
+    j = int(np.argmax(np.abs(weights)))
+    diffs = nodes[j] - nodes
     diffs = np.delete(diffs, j)
     log_true = -np.sum(np.log(np.abs(diffs)))
     sign_true = -1.0 if (np.sum(diffs < 0.0) % 2) else 1.0
-    stored = data.weights[j]
+    stored = weights[j]
     return log_true - np.log(abs(stored)), sign_true * np.sign(stored)
 
 
@@ -176,6 +179,20 @@ def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows, hit_cols):
         yield slice(start, stop), table
 
 
+def _node_polynomial(diffs: np.ndarray, log_c: float, sign_c: float) -> np.ndarray:
+    """Row products l(x) = prod_j (x - x_j) of a difference table, times sign_c exp(log_c).
+
+    Up to _DIRECT_PRODUCT_LIMIT nodes the product is formed directly.  Past
+    that it is carried as log-magnitude plus sign and meets the scale anchor
+    in log space, so neither factor leaves double range on its own.
+    """
+    if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
+        return np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
+    log_poly = np.sum(np.log(np.abs(diffs)), axis=1)
+    sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
+    return sign_poly * sign_c * np.exp(log_poly + log_c)
+
+
 def interp_modified_lagrange(data: BarycentricData, x):
     """Evaluate l(x)/(1+lambda) * sum_j W_j f_j/(x - x_j) at x.
 
@@ -193,20 +210,14 @@ def interp_modified_lagrange(data: BarycentricData, x):
     scalar = x.ndim == 0
     xv = np.atleast_1d(x).ravel()
     shrink = 1.0 + data.lam
-    log_c, sign_c = _product_scale_anchor(data)
+    log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
     hit_rows, hit_cols = _node_hits(data.nodes, xv)
     out = np.empty(xv.size)
     for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows, hit_cols):
         # hit rows hold 1 in place of the zero difference; their node
         # polynomial is wrong but they are overwritten below
         inner = (data.weights * data.values / diffs).sum(axis=1)
-        if len(data) <= _DIRECT_PRODUCT_LIMIT:
-            node_poly = np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
-        else:
-            log_poly = np.sum(np.log(np.abs(diffs)), axis=1)
-            sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
-            node_poly = sign_poly * sign_c * np.exp(log_poly + log_c)
-        out[rows] = node_poly * inner / shrink
+        out[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
     out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
@@ -248,3 +259,30 @@ def interp_barycentric(data: BarycentricData, x):
     out[hit_rows] = values[hit_cols] / shrink
     out = out.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
+
+
+def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
+    """Lebesgue function sum_j |l_j(x)| of interpolation in the rule's nodes.
+
+    First-kind (modified Lagrange) form |l(x)| sum_j |W_j| / |x - x_j|, with
+    the explicit Gauss-Jacobi weights |W_j| proportional to
+    sqrt((1 - x_j^2) w_j) (Wang, Huybrechs & Vandewalle, Math. Comp. 83,
+    2014), O(N) from the rule, anchored to the product-formula scale.  Every
+    term is positive, so nothing cancels, also at points far from the nodes
+    such as x = +-1.  A point equal to a node gives 1.  x is 1-D.
+
+    The quotient form sum_j |W_j/(x - x_j)| / |sum_j W_j/(x - x_j)| is not
+    used: its denominator cancels at x = +-1, costing up to 9.3e-4 relative
+    at jacobi(20, -0.9), N = 20, against a 50-digit reference.
+    """
+    nodes = rule.nodes
+    weights = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
+    log_c, sign_c = _product_scale_anchor(nodes, weights)
+    hit_rows, hit_cols = _node_hits(nodes, x)
+    out = np.empty(x.size)
+    for rows, diffs in _difference_blocks(nodes, x, hit_rows, hit_cols):
+        node_poly = _node_polynomial(diffs, log_c, sign_c)
+        terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
+        out[rows] = np.abs(node_poly) * terms.sum(axis=1)
+    out[hit_rows] = 1.0
+    return out

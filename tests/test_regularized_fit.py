@@ -7,12 +7,15 @@ combination of spec, degrees, and lambda.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
-from tikbary.metrics import LAMBDA_STAR
+from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import (
     RegularizedApproximant,
@@ -257,3 +260,111 @@ class TestLebesgueConstant:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             lebesgue_constant(gauss_rule(LEG, 5), 4, 0.0, grid=np.array([]))
+
+    @pytest.mark.parametrize("lam,grid", [
+        (float("nan"), None),
+        (-0.5, None),
+        (0.0, np.array([-1.0, 0.0, 3.0])),
+        (0.0, np.array([-1.0, float("nan"), 1.0])),
+        (0.0, np.array([-float("inf"), 0.0])),
+    ], ids=["nan-lambda", "negative-lambda", "outside-grid", "nan-grid", "inf-grid"])
+    @pytest.mark.parametrize("L", [4, 6], ids=["L<N", "L=N"])
+    def test_rejects_bad_inputs(self, lam, grid, L):
+        # before validation these returned nan, twice the constant, 2.7e30
+        # and a constant with the NaN point silently dropped
+        with pytest.raises(ValueError):
+            lebesgue_constant(gauss_rule(LEG, 7), L, lam, grid=grid)
+
+    @pytest.mark.parametrize("L", [-1, 7])
+    def test_rejects_degree_outside_rule(self, L):
+        with pytest.raises(ValueError, match="0..N"):
+            lebesgue_constant(gauss_rule(LEG, 7), L, 0.0)
+
+    def test_kernel_blocks_change_no_bit(self, monkeypatch):
+        # the bounds pair with L < N on its own grid; one row per block is
+        # left out, because BLAS may route a one-row product differently
+        rule = gauss_rule(CHEB, 401)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        default = lebesgue_constant(rule, 200, 0.0, grid=grid)
+        for rows in (64, 10**6):
+            monkeypatch.setattr(regularized_fit, "_KERNEL_BLOCK_ENTRIES", rows * 401)
+            np.testing.assert_array_equal(
+                lebesgue_constant(rule, 200, 0.0, grid=grid), default)
+
+
+def _kernel_lebesgue(rule, L, grid):
+    """Grid maximum of sum_j w_j |K_L(x, x_j)| from the dense kernel product."""
+    node_vals = eval_orthonormal(rule.spec, L, rule.nodes)
+    kernel = eval_orthonormal(rule.spec, L, grid).T @ node_vals
+    return float(np.max(np.abs(kernel) @ rule.weights))
+
+
+def _lagrange_lebesgue_mp(nodes, x, dps=50):
+    """sum_j |l_j(x)| at dps digits, on the given float nodes."""
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(v)) for v in nodes]
+        at = mpmath.mpf(float(x))
+        total = mpmath.mpf(0)
+        for j, xj in enumerate(xs):
+            term = mpmath.mpf(1)
+            for k, xk in enumerate(xs):
+                if k != j:
+                    term *= (at - xk) / (xj - xk)
+            total += abs(term)
+        return float(total)
+
+
+class TestLebesgueInterpolation:
+    """L = N: the first-kind barycentric Lebesgue function."""
+
+    @pytest.mark.parametrize("spec,N", [
+        (CHEB, 100),
+        (BasisSpec(20.0, -0.9), 20),
+    ], ids=["chebyshev1-100", "jacobi(20,-0.9)-20"])
+    def test_matches_50_digit_reference(self, spec, N):
+        # the Lebesgue function of these rules peaks at an end of [-1, 1],
+        # and the default grid holds both ends
+        rule = gauss_rule(spec, N + 1)
+        ref = max(_lagrange_lebesgue_mp(rule.nodes, x) for x in (-1.0, 1.0))
+        assert lebesgue_constant(rule, N, 0.0) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        CHEB, LEG, BasisSpec(0.3, -0.25), BasisSpec(-0.99, -0.99),
+    ], ids=["chebyshev1", "legendre", "jacobi(0.3,-0.25)", "jacobi(-0.99,-0.99)"])
+    @pytest.mark.parametrize("N", [1, 7, 60, 300])
+    def test_matches_kernel_product(self, spec, N):
+        rule = gauss_rule(spec, N + 1)
+        grid = default_lebesgue_grid(rule)
+        got = lebesgue_constant(rule, N, 0.0, grid=grid)
+        assert got == pytest.approx(_kernel_lebesgue(rule, N, grid), rel=1e-11)
+
+    def test_matches_kernel_product_past_direct_products(self):
+        # 601 nodes: the node polynomial is carried in log space
+        rule = gauss_rule(LEG, 601)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        got = lebesgue_constant(rule, 600, 0.0, grid=grid)
+        assert got == pytest.approx(_kernel_lebesgue(rule, 600, grid), rel=1e-11)
+
+    @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(20.0, -0.9)],
+                             ids=["chebyshev1", "legendre", "jacobi(20,-0.9)"])
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    def test_one_node_rule(self, spec, lam):
+        rule = gauss_rule(spec, 1)
+        got = lebesgue_constant(rule, 0, lam)
+        assert got == pytest.approx(1.0 / (1.0 + lam), rel=1e-15)
+
+    def test_node_points_give_one(self):
+        rule = gauss_rule(LEG, 31)
+        assert lebesgue_constant(rule, 30, 0.0, grid=rule.nodes) == 1.0
+
+    def test_work_tables_stay_small(self):
+        # L = N = 800 on the bounds grid; the kernel product traced 80 MiB
+        rule = gauss_rule(CHEB, 801)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        tracemalloc.start()
+        try:
+            lebesgue_constant(rule, 800, 0.0, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
