@@ -22,10 +22,7 @@ from .barycentric import (
 from .basis import (
     BasisSpec,
     RecurrenceTable,
-    cd_kernel,
-    cd_kernel_quotient,
     eval_orthonormal,
-    norm_ratio,
     recurrence_coefficients,
 )
 from .experiments import (
@@ -60,7 +57,6 @@ from .regularized_fit import (
     fit,
     gram_matrix_residual,
     lebesgue_constant,
-    normal_equations_oracle,
 )
 from .signals import (
     FUNCTIONS,
@@ -81,16 +77,12 @@ __all__ = [
     "RecurrenceTable",
     "recurrence_coefficients",
     "eval_orthonormal",
-    "norm_ratio",
-    "cd_kernel",
-    "cd_kernel_quotient",
     "QuadratureRule",
     "gauss_rule",
     "exactness_residual",
     "RegularizedApproximant",
     "fit",
     "evaluate",
-    "normal_equations_oracle",
     "gram_matrix_residual",
     "continuum_limit_fit",
     "lebesgue_constant",

@@ -1,4 +1,4 @@
-"""Orthonormal Jacobi-family polynomials and the Christoffel-Darboux kernel.
+"""Orthonormal Jacobi-family polynomials.
 
 The weight function is w(x) = (1-x)^a (1+x)^b on [-1,1] with a, b > -1.
 Everything downstream (quadrature, fitting, barycentric weights) is built
@@ -16,9 +16,6 @@ __all__ = [
     "RecurrenceTable",
     "recurrence_coefficients",
     "eval_orthonormal",
-    "norm_ratio",
-    "cd_kernel",
-    "cd_kernel_quotient",
 ]
 
 # a decimal literal, as BasisSpec.name writes an exponent
@@ -138,8 +135,9 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
 def _orthonormal_rows(spec: BasisSpec, l_max: int, x: np.ndarray):
     """Yield p_0(x), ..., p_l_max(x) from the normalized recurrence.
 
-    Holds two rows at a time, so a caller that needs only the last one
-    never builds the (l_max+1) x |x| table.
+    The one copy that eval_orthonormal, fit, evaluate and weights_gauss
+    iterate.  Holds two rows at a time, so a caller that needs only the last
+    one never builds the (l_max+1) x |x| table.
     """
     table = recurrence_coefficients(spec, l_max + 2)
     sqb = np.sqrt(table.b)
@@ -167,39 +165,3 @@ def eval_orthonormal(spec: BasisSpec, l_max: int, x) -> np.ndarray:
     for l, row in enumerate(_orthonormal_rows(spec, l_max, x)):
         out[l] = row
     return out
-
-
-def norm_ratio(spec: BasisSpec, n: int) -> float:
-    """Leading-coefficient ratio ||P_{n+1}|| / ||P_n|| = sqrt(b_{n+1})."""
-    table = recurrence_coefficients(spec, n + 2)
-    return math.sqrt(table.b[n + 1])
-
-
-def cd_kernel(spec: BasisSpec, L: int, x, y, quotient_threshold: float | None = None) -> np.ndarray:
-    """Reproducing kernel K_L(x,y) = sum_{l<=L} p_l(x) p_l(y), direct summation.
-
-    With quotient_threshold set, pairs separated by at least that much are
-    routed through the quotient form instead; the two paths agree to
-    rounding and the switch exists so tests can compare them.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    direct = np.sum(eval_orthonormal(spec, L, x) * eval_orthonormal(spec, L, y), axis=0)
-    if quotient_threshold is None:
-        return direct
-    far = np.abs(x - y) >= quotient_threshold
-    quot = cd_kernel_quotient(spec, L, x, y)
-    return np.where(far, quot, direct)
-
-
-def cd_kernel_quotient(spec: BasisSpec, L: int, x, y) -> np.ndarray:
-    """K_L(x,y) in quotient form; ill-conditioned as x -> y, exact elsewhere.
-
-    K_L(x,y) = sqrt(b_{L+1}) (p_{L+1}(x) p_L(y) - p_L(x) p_{L+1}(y)) / (x - y).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    px = eval_orthonormal(spec, L + 1, x)
-    py = eval_orthonormal(spec, L + 1, y)
-    num = px[L + 1] * py[L] - px[L] * py[L + 1]
-    return norm_ratio(spec, L) * num / (x - y)

@@ -16,7 +16,6 @@ __all__ = [
     "render_table",
     "read_table",
     "parse_table",
-    "report_row",
 ]
 
 # fixed column order for error-report tables
@@ -92,16 +91,3 @@ def read_table(path) -> TableData:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_table(fh.read())
 
-
-def report_row(report) -> list:
-    """ErrorReport -> row in the fixed column order."""
-    return [
-        report.spec_name,
-        report.L,
-        report.N,
-        report.lam,
-        report.seed,
-        report.snr_db,
-        report.uniform_error,
-        report.l2_error,
-    ]

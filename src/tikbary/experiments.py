@@ -21,13 +21,13 @@ from ._version import __version__
 from .barycentric import BarycentricData, interp_barycentric, weights_gauss
 from .basis import BasisSpec
 from .configfile import render_value
-from .csvio import REPORT_COLUMNS, render_table, report_row
+from .csvio import REPORT_COLUMNS, render_table
 from .metrics import (
     LAMBDA_STAR,
+    _lambda_errors,
     default_l2_rule,
     default_lambda_grid,
     default_uniform_grid,
-    lambda_sweep,
 )
 from .quadrature import gauss_rule
 from .regularized_fit import check_lambda, evaluate, fit
@@ -111,11 +111,11 @@ class ExperimentConfig:
         if not (isinstance(self.noise_c, (int, float))
                 and math.isfinite(self.noise_c) and self.noise_c >= 0.0):
             raise ValueError(f"noise_c must be finite and >= 0, got {self.noise_c!r}")
-        for key in ("grid_equispaced", "grid_chebyshev"):
-            size = _whole(key, getattr(self, key))
-            if size < 2:
-                raise ValueError(f"{key} must be >= 2, got {size}")
-            object.__setattr__(self, key, size)
+        for key, least in (("seed", 0), ("grid_equispaced", 2), ("grid_chebyshev", 2)):
+            value = _whole(key, getattr(self, key))
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
+            object.__setattr__(self, key, value)
 
     def to_mapping(self) -> dict:
         out = {}
@@ -232,13 +232,9 @@ def _error_rows(spec_name, L, N, lambdas, seed, snr_db, f_grid, p_grid,
                 l2_rule, f_l2, p_l2) -> list:
     """One error row per lambda for a lambda = 0 output p (on the grid and at
     the L2 rule's nodes); the output at lambda is p / (1 + lambda)."""
-    rows = []
-    for lam in lambdas:
-        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
-        resid = f_l2 - p_l2 / (1.0 + lam)
-        err_2 = float(np.sqrt(np.sum(l2_rule.weights * resid * resid)))
-        rows.append([spec_name, L, N, lam, seed, snr_db, err_u, err_2])
-    return rows
+    return [[spec_name, L, N, lam, seed, snr_db, err_u, err_2]
+            for lam, err_u, err_2 in _lambda_errors(lambdas, f_grid, p_grid,
+                                                    l2_rule, f_l2, p_l2)]
 
 
 def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
@@ -387,18 +383,18 @@ def run_fig45(config: ExperimentConfig) -> list:
 
 
 def run_sweep(config: ExperimentConfig) -> list:
-    """One lambda sweep at fixed (L, N); reports the argmin per metric."""
-    spec = BasisSpec.from_name(config.basis)
-    rule = gauss_rule(spec, config.n_values[0] + 1)
+    """One lambda sweep at fixed (L, N); reports the argmin per metric, the
+    first lambda reaching the minimum."""
     L = config.l_values[0]
-    result = lambda_sweep(rule, L, FUNCTIONS[config.fn], config.lambdas,
-                          noise=_noise_from_config(config, 0), grid=_grid(config))
+    [rows] = _fit_tables(config, (config.fn,), [(L, config.n_values[0], 0)])
     hints = ["x = lambda", "y = uniform_error, l2_error", "logx = true",
              "logy = true", f"title = lambda sweep, {config.fn}, L={L}"]
-    best = [(f"best-lambda-{metric}", result.best_lambda[metric])
-            for metric in ("uniform_error", "l2_error")]
-    return _emit(config, config.experiment, REPORT_COLUMNS,
-                 [report_row(r) for r in result], hints, best)
+    # columns 6 and 7 are the two errors, column 3 is lambda; argmin takes the
+    # first row at the minimum, as in lambda_sweep
+    errors = np.array([row[6:] for row in rows])
+    best = [(f"best-lambda-{metric}", rows[int(np.argmin(errors[:, c]))][3])
+            for c, metric in enumerate(("uniform_error", "l2_error"))]
+    return _emit(config, config.experiment, REPORT_COLUMNS, rows, hints, best)
 
 
 def run_custom(config: ExperimentConfig) -> list:

@@ -51,11 +51,11 @@ def default_uniform_grid(equispaced: int = 10001, chebyshev: int = 2001) -> np.n
     return np.union1d(eq, ch)
 
 
-def default_l2_rule(rule: QuadratureRule, L: int, large_threshold: int = 100):
-    """Rule for the discrete L2 error: the fitting rule itself when it is
-    large, else a fresh one with max(N+1, 2L+2) points, so that (f - p)^2 is
-    integrated exactly whenever f is itself a polynomial of degree <= L."""
-    if len(rule) >= large_threshold:
+def default_l2_rule(rule: QuadratureRule, L: int):
+    """Rule for the discrete L2 error: the fitting rule itself when it has 100
+    points or more, else a fresh one with max(N+1, 2L+2) points, so that
+    (f - p)^2 is integrated exactly whenever f is a polynomial of degree <= L."""
+    if len(rule) >= 100:
         return rule
     points = max(len(rule), 2 * L + 2)
     if points == len(rule):
@@ -65,7 +65,8 @@ def default_l2_rule(rule: QuadratureRule, L: int, large_threshold: int = 100):
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """One measured configuration, carrying enough metadata to rerun it."""
+    """The two errors of one (L, N, lambda) fit, with the noise it was drawn
+    from; the fields are the columns of csvio.REPORT_COLUMNS in order."""
 
     spec_name: str
     L: int
@@ -75,8 +76,6 @@ class ErrorReport:
     snr_db: float | None
     uniform_error: float
     l2_error: float
-    grid_size: int
-    rule_size: int
 
     def __post_init__(self):
         if not (self.uniform_error >= 0.0) or not (self.l2_error >= 0.0):
@@ -95,6 +94,19 @@ def l2_error(f, approx, rule: QuadratureRule) -> float:
     """sqrt(sum_j w_j (f(x_j) - approx(x_j))^2) at the rule's nodes."""
     r = np.asarray(f(rule.nodes)) - np.asarray(approx(rule.nodes))
     return math.sqrt(float(np.sum(rule.weights * r * r)))
+
+
+def _lambda_errors(lambdas, f_grid, p_grid, l2_rule: QuadratureRule, f_l2, p_l2):
+    """(lambda, uniform error, L2 error) for each lambda, where p_grid and
+    p_l2 are the lambda = 0 output on the grid and at the L2 rule's nodes;
+    the output at lambda is that times 1/(1+lambda)."""
+    out = []
+    for lam in lambdas:
+        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
+        resid = f_l2 - p_l2 / (1.0 + lam)
+        err_2 = math.sqrt(float(np.sum(l2_rule.weights * resid * resid)))
+        out.append((lam, err_u, err_2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,7 +128,6 @@ def lambda_sweep(
     lambdas,
     noise: NoiseSpec | None = None,
     grid=None,
-    l2_rule: QuadratureRule | None = None,
 ) -> SweepResult:
     """Measure both errors, against the clean f, of the fit at every lambda
     to a single shared noise draw.  The samples are fitted and evaluated once,
@@ -128,7 +139,7 @@ def lambda_sweep(
     for lam in lambdas:
         check_lambda(lam)
     grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    l2r = default_l2_rule(rule, L) if l2_rule is None else l2_rule
+    l2r = default_l2_rule(rule, L)
     f_nodes = np.asarray(f(rule.nodes), dtype=float)
     samples = f_nodes if noise is None else add_noise(f_nodes, noise)
     f_grid = np.asarray(f(grid), dtype=float)
@@ -138,25 +149,9 @@ def lambda_sweep(
     approx = fit(rule, L, 0.0, samples)
     p_grid = evaluate(approx, grid)
     p_l2 = evaluate(approx, l2r.nodes)
-    reports = []
-    for lam in lambdas:
-        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
-        resid = f_l2 - p_l2 / (1.0 + lam)
-        err_2 = math.sqrt(float(np.sum(l2r.weights * resid * resid)))
-        reports.append(
-            ErrorReport(
-                spec_name=rule.spec.name,
-                L=L,
-                N=rule.degree,
-                lam=lam,
-                seed=seed,
-                snr_db=snr,
-                uniform_error=err_u,
-                l2_error=err_2,
-                grid_size=grid.size,
-                rule_size=len(l2r),
-            )
-        )
+    reports = [ErrorReport(rule.spec.name, L, rule.degree, lam, seed, snr, err_u, err_2)
+               for lam, err_u, err_2 in _lambda_errors(lambdas, f_grid, p_grid,
+                                                       l2r, f_l2, p_l2)]
     best = {
         "uniform_error": reports[int(np.argmin([r.uniform_error for r in reports]))].lam,
         "l2_error": reports[int(np.argmin([r.l2_error for r in reports]))].lam,
@@ -171,18 +166,18 @@ class Surrogates:
     e_uniform bounds the degree-L best uniform error from above; p_star_l2
     and p_star_inf bound the norms of a near-best polynomial.  All three are
     the corresponding quantities of the continuum-limit truncation of f,
-    inflated by the safety factor, which keeps every bound check on the
+    inflated by a safety factor of 4, which keeps every bound check on the
     guaranteed side for the functions and degrees exercised here.
     """
 
     e_uniform: float
     p_star_l2: float
     p_star_inf: float
-    safety: float
 
 
-def truncation_surrogates(spec, L: int, f, grid=None, safety: float = 4.0) -> Surrogates:
-    """Surrogates from the lambda=0 continuum-limit truncation of degree L.
+def truncation_surrogates(spec, L: int, f, grid=None) -> Surrogates:
+    """Surrogates from the lambda=0 continuum-limit truncation of degree L,
+    each times the safety factor 4.
 
     The grid should contain every point later used on the left side of a
     bound check (including the fitting nodes) so the maxima dominate.
@@ -192,10 +187,9 @@ def truncation_surrogates(spec, L: int, f, grid=None, safety: float = 4.0) -> Su
     f_grid = np.asarray(f(grid), dtype=float)
     t_grid = evaluate(trunc, grid)
     return Surrogates(
-        e_uniform=safety * float(np.max(np.abs(f_grid - t_grid))),
-        p_star_l2=safety * trunc.l2_norm,
-        p_star_inf=safety * float(np.max(np.abs(t_grid))),
-        safety=safety,
+        e_uniform=4.0 * float(np.max(np.abs(f_grid - t_grid))),
+        p_star_l2=4.0 * trunc.l2_norm,
+        p_star_inf=4.0 * float(np.max(np.abs(t_grid))),
     )
 
 
@@ -220,16 +214,12 @@ def bound_check_stability(approx, samples) -> BoundCheck:
 
 
 def bound_check_l2_noise(
-    f, noisy_samples, approx, rule: QuadratureRule, e_surrogate: float,
-    p_norm: float, lam: float | None = None,
+    f, noisy_samples, approx, rule: QuadratureRule, e_surrogate: float, p_norm: float,
 ) -> BoundCheck:
     """L2 error of the fit from noisy data against
     sqrt(V)/(1+lam) * sup-noise + (1 + 1/(1+lam)) E + lam/(1+lam) ||p*||,
-    with E and ||p*|| replaced by their surrogates."""
-    if lam is None:
-        lam = approx.lam
-    elif lam != approx.lam:
-        raise ValueError("lambda disagrees with the approximant")
+    with lam the approximant's and E and ||p*|| replaced by their surrogates."""
+    lam = approx.lam
     noisy_samples = np.asarray(noisy_samples, dtype=float)
     noise_sup = float(np.max(np.abs(np.asarray(f(rule.nodes)) - noisy_samples)))
     lhs = l2_error(f, approx, rule)

@@ -7,17 +7,15 @@ nodes: the design matrix satisfies A'WA = I, so
     beta_l = (1/(1+lambda)) sum_j w_j p_l(x_j) f_j.
 
 lambda = 0 recovers the plain discrete least-squares projection, which is
-interpolation when L = N.  Fitting never solves a linear system; the dense
-solver below exists purely as a cross-check.
+interpolation when L = N.  Fitting never solves a linear system.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .basis import BasisSpec, eval_orthonormal, recurrence_coefficients
+from .basis import BasisSpec, _orthonormal_rows, eval_orthonormal
 from .quadrature import QuadratureRule, gauss_rule
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "RegularizedApproximant",
     "fit",
     "evaluate",
-    "normal_equations_oracle",
     "gram_matrix_residual",
     "continuum_limit_fit",
     "lebesgue_constant",
@@ -53,13 +50,12 @@ def check_lambda(lam) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RegularizedApproximant:
-    """Coefficient vector beta against the orthonormal basis, plus provenance."""
+    """Coefficient vector beta against the orthonormal basis of spec."""
 
     spec: BasisSpec
     degree: int
     lam: float
     coefficients: np.ndarray
-    rule: QuadratureRule | None = None
 
     def __post_init__(self):
         check_lambda(self.lam)
@@ -104,55 +100,21 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
     check_lambda(lam)
     samples = _check_samples(rule, samples)
     wf = rule.weights * samples
-    table = recurrence_coefficients(rule.spec, L + 2)
-    sqb = np.sqrt(table.b)
-    beta = np.empty(L + 1)
-    p_prev = np.zeros_like(rule.nodes)
-    p_curr = np.full_like(rule.nodes, 1.0 / sqb[0])
-    beta[0] = wf @ p_curr
-    for k in range(L):
-        p_next = ((rule.nodes - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
-        beta[k + 1] = wf @ p_next
-        p_prev, p_curr = p_curr, p_next
+    beta = np.array([wf @ p for p in _orthonormal_rows(rule.spec, L, rule.nodes)])
     beta /= 1.0 + lam
-    return RegularizedApproximant(
-        spec=rule.spec, degree=L, lam=lam, coefficients=beta, rule=rule
-    )
+    return RegularizedApproximant(spec=rule.spec, degree=L, lam=lam, coefficients=beta)
 
 
 def evaluate(approx: RegularizedApproximant, x):
     """Evaluate sum_l beta_l p_l(x) in a single recurrence sweep."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    table = recurrence_coefficients(approx.spec, approx.degree + 2)
-    sqb = np.sqrt(table.b)
+    rows = _orthonormal_rows(approx.spec, approx.degree, np.atleast_1d(x))
     beta = approx.coefficients
-    p_prev = np.zeros_like(xv)
-    p_curr = np.full_like(xv, 1.0 / sqb[0])
-    acc = beta[0] * p_curr
-    for k in range(approx.degree):
-        p_next = ((xv - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
-        acc += beta[k + 1] * p_next
-        p_prev, p_curr = p_curr, p_next
+    acc = beta[0] * next(rows)
+    for b, p in zip(beta[1:], rows):
+        acc += b * p
     return float(acc[0]) if scalar else acc
-
-
-def normal_equations_oracle(rule: QuadratureRule, L: int, lam: float, samples) -> np.ndarray:
-    """Dense route: build A and W, solve (A'WA + lambda I) beta = A'W f.
-
-    Cholesky on the (L+1) x (L+1) system.  Slower than fit by construction;
-    kept only so tests can confirm the closed form against an independent
-    solve.
-    """
-    if L > rule.degree:
-        raise ValueError("degree L exceeds rule degree N")
-    samples = _check_samples(rule, samples)
-    A = eval_orthonormal(rule.spec, L, rule.nodes).T
-    M = A.T @ (rule.weights[:, None] * A) + lam * np.eye(L + 1)
-    rhs = A.T @ (rule.weights * samples)
-    factor = scipy.linalg.cho_factor(M)
-    return scipy.linalg.cho_solve(factor, rhs)
 
 
 def gram_matrix_residual(rule: QuadratureRule, L: int) -> float:
@@ -164,31 +126,20 @@ def gram_matrix_residual(rule: QuadratureRule, L: int) -> float:
     return float(np.max(np.abs(G - np.eye(L + 1))))
 
 
-def continuum_limit_fit(
-    spec: BasisSpec, L: int, lam: float, f, ref_points: int | None = None
-) -> RegularizedApproximant:
+def continuum_limit_fit(spec: BasisSpec, L: int, lam: float, f) -> RegularizedApproximant:
     """Limit approximant with coefficients from near-exact integrals.
 
-    Integrals int w p_l f are evaluated with a Gauss rule of at least 4L+16
-    points, far past the exactness needed for smooth f, then shrunk by
-    1/(1+lambda).  Demonstrates that fits converge to this limit as the node
-    count grows.
+    Integrals int w p_l f are evaluated with a Gauss rule of 4L+16 points,
+    far past the exactness needed for smooth f, then shrunk by 1/(1+lambda).
+    Demonstrates that fits converge to this limit as the node count grows.
     """
-    floor = 4 * L + 16
-    if ref_points is None:
-        ref_points = floor
-    elif ref_points < floor:
-        raise ValueError(f"ref_points must be at least 4L+16 = {floor}")
-    rule = gauss_rule(spec, ref_points)
-    approx = fit(rule, L, lam, f(rule.nodes))
-    # provenance points at the reference rule on purpose: it records how the
-    # coefficients were obtained
-    return approx
+    rule = gauss_rule(spec, 4 * L + 16)
+    return fit(rule, L, lam, f(rule.nodes))
 
 
-def default_lebesgue_grid(rule: QuadratureRule, points: int = 2001) -> np.ndarray:
-    """Chebyshev-spaced scan grid plus the rule's own nodes."""
-    scan = np.cos(np.linspace(0.0, math.pi, points))
+def default_lebesgue_grid(rule: QuadratureRule) -> np.ndarray:
+    """2001 Chebyshev-spaced scan points plus the rule's own nodes."""
+    scan = np.cos(np.linspace(0.0, math.pi, 2001))
     return np.union1d(scan, rule.nodes)
 
 

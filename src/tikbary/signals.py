@@ -102,6 +102,10 @@ class NoiseSpec:
         if self.kind == "additive-white-snr":
             if self.snr_db is None or not math.isfinite(self.snr_db):
                 raise ValueError("additive noise needs a finite snr_db")
+            try:
+                10.0 ** (-self.snr_db / 10.0)  # the noise-to-signal power ratio
+            except OverflowError:
+                raise ValueError(f"snr_db = {self.snr_db} overflows the noise power") from None
         else:
             if self.c is None or not (self.c >= 0.0):
                 raise ValueError("multiplicative noise needs c >= 0")

@@ -1,0 +1,54 @@
+"""Independent reference computations the tests compare the package against.
+
+None of these is on a path the package runs: the dense normal-equations
+solve cross-checks the closed-form fit, and the Christoffel-Darboux kernel in
+direct and quotient form cross-checks the basis recurrence.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from tikbary.basis import eval_orthonormal, recurrence_coefficients
+
+
+def normal_equations_oracle(rule, L: int, lam: float, samples) -> np.ndarray:
+    """Dense route: build A and W, solve (A'WA + lambda I) beta = A'W f.
+
+    Cholesky on the (L+1) x (L+1) system.
+    """
+    if L > rule.degree:
+        raise ValueError("degree L exceeds rule degree N")
+    samples = np.asarray(samples, dtype=float)
+    A = eval_orthonormal(rule.spec, L, rule.nodes).T
+    M = A.T @ (rule.weights[:, None] * A) + lam * np.eye(L + 1)
+    rhs = A.T @ (rule.weights * samples)
+    factor = scipy.linalg.cho_factor(M)
+    return scipy.linalg.cho_solve(factor, rhs)
+
+
+def norm_ratio(spec, n: int) -> float:
+    """Leading-coefficient ratio ||P_{n+1}|| / ||P_n|| = sqrt(b_{n+1})."""
+    table = recurrence_coefficients(spec, n + 2)
+    return math.sqrt(table.b[n + 1])
+
+
+def cd_kernel(spec, L: int, x, y) -> np.ndarray:
+    """Reproducing kernel K_L(x,y) = sum_{l<=L} p_l(x) p_l(y), direct summation."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.sum(eval_orthonormal(spec, L, x) * eval_orthonormal(spec, L, y), axis=0)
+
+
+def cd_kernel_quotient(spec, L: int, x, y) -> np.ndarray:
+    """K_L(x,y) in quotient form; ill-conditioned as x -> y, exact elsewhere.
+
+    K_L(x,y) = sqrt(b_{L+1}) (p_{L+1}(x) p_L(y) - p_L(x) p_{L+1}(y)) / (x - y).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    px = eval_orthonormal(spec, L + 1, x)
+    py = eval_orthonormal(spec, L + 1, y)
+    num = px[L + 1] * py[L] - px[L] * py[L + 1]
+    return norm_ratio(spec, L) * num / (x - y)

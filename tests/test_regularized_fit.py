@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import normal_equations_oracle
 from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
 from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
@@ -26,7 +27,6 @@ from tikbary.regularized_fit import (
     fit,
     gram_matrix_residual,
     lebesgue_constant,
-    normal_equations_oracle,
 )
 from tikbary.signals import f1
 
@@ -216,10 +216,6 @@ class TestContinuumLimit:
             errs.append(np.max(np.abs(beta - limit.coefficients)))
         assert errs[0] > errs[1] > errs[2]
 
-    def test_reference_rule_floor(self):
-        with pytest.raises(ValueError):
-            continuum_limit_fit(CHEB, 20, 0.0, f1, ref_points=95)
-        continuum_limit_fit(CHEB, 20, 0.0, f1, ref_points=96)
 
 
 class TestLebesgueConstant:

@@ -166,6 +166,20 @@ class TestAdditiveNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(10), spec)
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, -3090.0, -1e300])
+    def test_noise_power_past_double_range_is_rejected(self, snr_db):
+        # 10^(-snr_db/10) overflows: a ValueError, not an OverflowError
+        with pytest.raises(ValueError, match="snr_db"):
+            NoiseSpec("additive-white-snr", seed=1, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, 5.0, 4000.0])
+    def test_in_range_noise_keeps_the_formula(self, snr_db):
+        clean = f1(np.linspace(-1.0, 1.0, 33))
+        noisy = add_noise(clean, NoiseSpec("additive-white-snr", seed=3, snr_db=snr_db))
+        sigma = math.sqrt(float(np.mean(clean**2)) * 10.0 ** (-snr_db / 10.0))
+        expected = clean + sigma * make_generator(3).standard_normal(clean.shape)
+        np.testing.assert_array_equal(noisy, expected)
+
 
 class TestMultiplicativeNoise:
     def test_c_zero_is_the_identity(self):
