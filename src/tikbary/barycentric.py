@@ -16,10 +16,15 @@ columns of an (N+1, k) values array: one pass over the Cauchy table
 W_j/(x - x_j) serves every column.
 
 Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
-the work tables stay cache-sized at any N.  The block size does not change a
-bit of the output: each row of the table is reduced by the same contiguous
-pairwise sum whatever block it sits in, and node hits, the division by the
-denominator and the zero check are done once per call over all of x.
+the work table stays cache-sized at any N.  The block size does not change a
+bit of the output: each row of the table is reduced on its own whatever block
+it sits in, the quotient form's denominator by NumPy's pairwise sum and each
+of its numerators by one BLAS ddot against a fresh copy of the column.
+Points equal to a node never enter the table; their values, the division by
+the denominator and the zero check are done once per call over all of x.
+The numerators' last bits therefore depend on the ddot kernel of the BLAS
+NumPy is linked against, as the coefficients of regularized_fit.fit
+(wf @ p) already do: reruns on one machine are bitwise equal.
 
 The Lebesgue function of interpolation in Gauss points, sum_j |l_j(x)|,
 uses the same difference blocks and node polynomial in first-kind form.
@@ -44,9 +49,9 @@ __all__ = [
 # beyond this many nodes raw products of ~N factors risk leaving double range
 _DIRECT_PRODUCT_LIMIT = 513
 
-# entries per (points x nodes) work table: 256 KiB of doubles, so the two
-# tables of interp_barycentric fit in L2 together; in sweeps of 8k..128k
-# entries over fig3 at paper scale, 32k and 64k ran fastest
+# entries per (points x nodes) work table: 256 KiB of doubles, so the table
+# stays in L2; in sweeps of 8k..128k entries over fig3 at paper scale, 32k
+# to 128k ran within 7 % of each other and 8k ran slowest
 _BLOCK_ENTRIES = 32768
 
 
@@ -155,27 +160,30 @@ def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, cols[rows]
 
 
+def _split_hits(nodes: np.ndarray, x: np.ndarray):
+    """(hit_rows, hit_cols, off): the node hits of x and a mask of the other points."""
+    hit_rows, hit_cols = _node_hits(nodes, x)
+    off = np.ones(x.size, dtype=bool)
+    off[hit_rows] = False
+    return hit_rows, hit_cols, off
+
+
 def _block_rows(points: int, nodes: int) -> int:
     """Rows per block: about _BLOCK_ENTRIES table entries, at least one row."""
     return max(1, min(points, _BLOCK_ENTRIES // nodes))
 
 
-def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows, hit_cols):
+def _difference_blocks(nodes: np.ndarray, x: np.ndarray):
     """Yield (rows, table): x[rows] - x_j for consecutive row blocks of x.
 
-    Entries at node hits (hit_rows, hit_cols, sorted by row) hold 1 in place
-    of the zero difference.  Every table is a view of one work array of
-    _block_rows rows, overwritten by the next block.
+    x holds no node, so no entry is zero.  Every table is a view of one work
+    array of _block_rows rows, overwritten by the next block.
     """
     step = _block_rows(x.size, nodes.size)
     work = np.empty((step, nodes.size))
-    starts = range(0, x.size, step)
-    cuts = np.searchsorted(hit_rows, [*starts, x.size]).tolist()
-    for b, start in enumerate(starts):
+    for start in range(0, x.size, step):
         stop = min(start + step, x.size)
         table = np.subtract(x[start:stop, None], nodes, out=work[: stop - start])
-        lo, hi = cuts[b], cuts[b + 1]
-        table[hit_rows[lo:hi] - start, hit_cols[lo:hi]] = 1.0
         yield slice(start, stop), table
 
 
@@ -211,13 +219,14 @@ def interp_modified_lagrange(data: BarycentricData, x):
     xv = np.atleast_1d(x).ravel()
     shrink = 1.0 + data.lam
     log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
-    hit_rows, hit_cols = _node_hits(data.nodes, xv)
-    out = np.empty(xv.size)
-    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows, hit_cols):
-        # hit rows hold 1 in place of the zero difference; their node
-        # polynomial is wrong but they are overwritten below
+    hit_rows, hit_cols, off = _split_hits(data.nodes, xv)
+    xo = xv[off]
+    out_off = np.empty(xo.size)
+    for rows, diffs in _difference_blocks(data.nodes, xo):
         inner = (data.weights * data.values / diffs).sum(axis=1)
-        out[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
+        out_off[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
+    out = np.empty(xv.size)
+    out[off] = out_off
     out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
@@ -231,31 +240,31 @@ def interp_barycentric(data: BarycentricData, x):
 
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
     column c is bitwise the result for values[:, c] alone: every column's
-    numerator is the same pairwise row sum a single vector gets.
+    numerator is the same per-row ddot a single vector gets, always against
+    a fresh contiguous copy of the column: ddot's bits depend on the stride
+    of that vector and, in some kernels, on its alignment.
     """
     x = np.asarray(x, dtype=float)
     xv = x.ravel()
     shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)
-    hit_rows, hit_cols = _node_hits(data.nodes, xv)
-    columns = [np.ascontiguousarray(values[:, c]) for c in range(values.shape[1])]
-    out = np.empty((xv.size, len(columns)))  # numerators until the division
-    denom = np.empty(xv.size)
-    # the second work table, as large as the difference table of a block;
-    # both stay cache-sized, so each pass over them stays out of memory
-    terms = np.empty((_block_rows(xv.size, len(data)), len(data)))
-    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows, hit_cols):
+    hit_rows, hit_cols, off = _split_hits(data.nodes, xv)
+    xo = xv[off]
+    columns = [values[:, c].copy() for c in range(values.shape[1])]
+    num = np.empty((xo.size, len(columns)))
+    denom = np.empty(xo.size)
+    for rows, diffs in _difference_blocks(data.nodes, xo):
         ratios = np.divide(data.weights, diffs, out=diffs)
         denom[rows] = ratios.sum(axis=1)
-        products = terms[: ratios.shape[0]]
         for c, column in enumerate(columns):
-            out[rows, c] = np.multiply(ratios, column, out=products).sum(axis=1)
-    denom[hit_rows] = 1.0  # masked below
+            num[rows, c] = np.vecdot(ratios, column)
     if np.any(denom == 0.0):
         raise RuntimeError(
             "barycentric denominator vanished off-node; weights are inconsistent"
         )
-    out /= (shrink * denom)[:, None]
+    num /= (shrink * denom)[:, None]
+    out = np.empty((xv.size, len(columns)))
+    out[off] = num
     out[hit_rows] = values[hit_cols] / shrink
     out = out.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
@@ -278,11 +287,13 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     nodes = rule.nodes
     weights = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
     log_c, sign_c = _product_scale_anchor(nodes, weights)
-    hit_rows, hit_cols = _node_hits(nodes, x)
-    out = np.empty(x.size)
-    for rows, diffs in _difference_blocks(nodes, x, hit_rows, hit_cols):
+    _, _, off = _split_hits(nodes, x)
+    xo = x[off]
+    out_off = np.empty(xo.size)
+    for rows, diffs in _difference_blocks(nodes, xo):
         node_poly = _node_polynomial(diffs, log_c, sign_c)
         terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
-        out[rows] = np.abs(node_poly) * terms.sum(axis=1)
-    out[hit_rows] = 1.0
+        out_off[rows] = np.abs(node_poly) * terms.sum(axis=1)
+    out = np.ones(x.size)
+    out[off] = out_off
     return out

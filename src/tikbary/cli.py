@@ -258,6 +258,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the failed allocation; a bare one is empty
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -301,6 +301,10 @@ def run_fig2(config: ExperimentConfig) -> list:
 def run_fig3(config: ExperimentConfig) -> list:
     """Classical vs shrunk barycentric interpolation of f3 as N grows,
     noise-free and noisy."""
+    if config.l_values != config.n_values:
+        raise ValueError(
+            "fig3 interpolates at L = N: l_values must equal n_values, got "
+            f"{list(config.l_values)} and {list(config.n_values)}")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
     grid = _grid(config)

@@ -319,6 +319,34 @@ class TestStackedValues:
         np.testing.assert_array_equal(
             got[:, 0], interp_barycentric(self._column(data, 0), x))
 
+    @pytest.mark.parametrize("pts", [21, 600])
+    def test_memory_layout_changes_no_bit(self, pts):
+        # the numerators are ddot products, whose bits depend on the stride
+        # of the column; every layout must reach them as a contiguous copy
+        rule, data = self._data(pts, LAMBDA_STAR)
+        x = np.concatenate([_rng(15).uniform(-0.99, 0.99, 300), rule.nodes[::7]])
+        c_order = np.ascontiguousarray(data.values)
+        wide = np.zeros((2 * pts, 6))
+        wide[::2, ::2] = c_order
+        layouts = {
+            "fortran": np.asfortranarray(c_order),
+            "transposed view": np.ascontiguousarray(c_order.T).T,
+            "strided slice": wide[::2, ::2],
+        }
+        want = interp_barycentric(
+            BarycentricData(data.nodes, data.weights, c_order, data.lam), x)
+        for name, values in layouts.items():
+            np.testing.assert_array_equal(values, c_order)
+            got = interp_barycentric(
+                BarycentricData(data.nodes, data.weights, values, data.lam), x)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for c in range(3):
+            single = BarycentricData(data.nodes, data.weights,
+                                     np.ascontiguousarray(c_order[:, c]),
+                                     data.lam)
+            np.testing.assert_array_equal(interp_barycentric(single, x),
+                                          want[:, c])
+
     def test_modified_lagrange_rejects_stacked_values(self):
         _, data = self._data(21, 0.0)
         with pytest.raises(ValueError, match="one sample vector"):
@@ -396,6 +424,97 @@ class TestBlockIndependence:
         finally:
             tracemalloc.stop()
         assert peak - got.nbytes < 2 * 2**20
+
+
+class TestNodeHitsSkipTheTable:
+    """Points equal to a node never reach the difference table."""
+
+    def test_rows_reaching_the_table(self, monkeypatch):
+        rows = []
+        blocks = barycentric._difference_blocks
+
+        def counting(nodes, x):
+            rows.append(x.size)
+            return blocks(nodes, x)
+
+        monkeypatch.setattr(barycentric, "_difference_blocks", counting)
+        rule = gauss_rule(CHEB, 21)
+        vals = f1(rule.nodes)
+        one = BarycentricData(rule.nodes, weights_gauss(rule), vals,
+                              LAMBDA_STAR)
+        two = BarycentricData(rule.nodes, weights_gauss(rule),
+                              np.column_stack([vals, -vals]), LAMBDA_STAR)
+        calls = {
+            "quotient": lambda x: interp_barycentric(one, x),
+            "stacked quotient": lambda x: interp_barycentric(two, x),
+            "modified lagrange": lambda x: interp_modified_lagrange(one, x),
+            "lebesgue": lambda x: barycentric._lebesgue_function(rule, x),
+        }
+        off = _rng(16).uniform(-0.99, 0.99, 7)
+        mixed = np.concatenate([rule.nodes[::2], off, rule.nodes[1::4]])
+        for name, call in calls.items():
+            rows.clear()
+            call(rule.nodes)
+            assert rows == [0], name
+            rows.clear()
+            got = call(mixed)
+            assert rows == [7], name
+            # the off-node rows are bitwise a call on those points alone
+            np.testing.assert_array_equal(got[11:18], call(off), err_msg=name)
+        np.testing.assert_array_equal(calls["lebesgue"](rule.nodes), np.ones(21))
+
+
+def _exact_products(a, b):
+    """(p, e) with p + e == a * b exactly, by Veltkamp splitting (Dekker)."""
+    def split(v):
+        c = 134217729.0 * v  # 2**27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class TestNumeratorAccuracy:
+    """The ddot numerators against correctly rounded fsum references.
+
+    The references sum the exact products of the same rounded ratios
+    r_j = W_j/(x - x_j) and samples, and the ratios themselves, so they
+    isolate the reductions.  Each point's error stays within the a priori
+    bound of any summation order, and the worst error within twice that of
+    the pairwise sum the numerators used before.
+    """
+
+    @pytest.mark.parametrize("n", [20, 200, 1000])
+    @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(20.0, -0.9)],
+                             ids=["chebyshev1", "legendre", "jacobi20_m0.9"])
+    def test_against_fsum(self, spec, n):
+        rule = gauss_rule(spec, n + 1)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               f1(rule.nodes) + np.cos(7.0 * rule.nodes))
+        x = _rng(n).uniform(-1.0, 1.0, 400)
+        ratios = data.weights / (x[:, None] - data.nodes)
+        p, e = _exact_products(ratios, data.values)
+        num = np.array([math.fsum(np.concatenate(row)) for row in zip(p, e)])
+        den = np.array([math.fsum(row) for row in ratios])
+        reference = num / den
+        got = interp_barycentric(data, x)
+
+        u = np.finfo(float).eps / 2.0
+        gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+        pairwise_den = ratios.sum(axis=1)  # bitwise the package's denominator
+        bound = (gamma * (np.abs(p).sum(axis=1)
+                          + np.abs(reference) * np.abs(ratios).sum(axis=1))
+                 / np.abs(pairwise_den) + 2.0 * u * np.abs(got))
+        # the bound is itself a sum of N+1 rounded terms
+        assert np.all(np.abs(got - reference) <= (1.0 + 2.0 * gamma) * bound)
+
+        pairwise = (ratios * data.values).sum(axis=1) / pairwise_den
+        err = np.max(np.abs(got - reference))
+        base = np.max(np.abs(pairwise - reference))
+        floor = np.finfo(float).eps * np.max(np.abs(reference))
+        assert err <= 2.0 * max(base, floor)
 
 
 class TestAgainstCoefficientRoute:

@@ -11,6 +11,7 @@ import pytest
 from oracles import normal_equations_oracle
 from tikbary.barycentric import BarycentricData, interp_barycentric, weights_gauss
 from tikbary.basis import BasisSpec
+from tikbary import cli
 from tikbary.cli import main
 from tikbary.csvio import parse_table, read_table, render_table
 from tikbary.quadrature import gauss_rule
@@ -168,6 +169,26 @@ class TestInterp:
         assert err == f"error: --eval-points must be >= 1, got {points}\n"
 
 
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
+         "error: out of memory: Unable to allocate 745. GiB for an array "
+         "with shape (100000000000,)\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_a_clean_error(self, capsys, monkeypatch,
+                                            message, err):
+        # stands in for an allocation as large as --eval-points 100000000000
+        # needs; nothing that large is requested
+        def exhausted(data, x):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "interp_barycentric", exhausted)
+        code, out, got = _run(capsys, "interp", "--N", "3", "--fn", "f1",
+                              "--eval-points", "5")
+        assert code == 2 and out == ""
+        assert got == err
+
+
 class TestSweep:
     def test_default_grid_no_noise(self, capsys, tmp_path):
         out_dir = tmp_path / "results"
@@ -248,6 +269,19 @@ class TestRun:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": _SRC})
         assert done.stdout.strip() == "False"
+
+    def test_fig3_needs_equal_degrees(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "run", "--experiment", "fig3", "--L", "5",
+                              "--N", "4", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == ("error: fig3 interpolates at L = N: l_values must equal "
+                       "n_values, got [5] and [4]\n")
+        assert list(tmp_path.iterdir()) == []
+        code, out, _ = _run(capsys, "run", "--experiment", "fig3", "--L", "4",
+                            "--N", "4", "--out", str(tmp_path))
+        assert code == 0
+        table = read_table(tmp_path / "fig3.csv")
+        assert set(table.column("L")) == {"4"} and set(table.column("N")) == {"4"}
 
     def test_experiment_with_overrides(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "run", "--experiment", "fig1",
