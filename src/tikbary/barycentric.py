@@ -160,31 +160,34 @@ def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, cols[rows]
 
 
-def _split_hits(nodes: np.ndarray, x: np.ndarray):
-    """(hit_rows, hit_cols, off): the node hits of x and a mask of the other points."""
-    hit_rows, hit_cols = _node_hits(nodes, x)
-    off = np.ones(x.size, dtype=bool)
-    off[hit_rows] = False
-    return hit_rows, hit_cols, off
-
-
 def _block_rows(points: int, nodes: int) -> int:
     """Rows per block: about _BLOCK_ENTRIES table entries, at least one row."""
     return max(1, min(points, _BLOCK_ENTRIES // nodes))
 
 
-def _difference_blocks(nodes: np.ndarray, x: np.ndarray):
+def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray):
     """Yield (rows, table): x[rows] - x_j for consecutive row blocks of x.
 
-    x holds no node, so no entry is zero.  Every table is a view of one work
-    array of _block_rows rows, overwritten by the next block.
+    rows indexes x and skips hit_rows, the points equal to a node, so no
+    entry is zero and callers write each block straight into their output.
+    It is a slice where the block holds no hit, which spares the index array
+    and its gather and scatters, a measurable share of the work at small N.
+    Every table is a view of one work array of _block_rows rows, overwritten
+    by the next block; a block of hits only yields nothing.
     """
+    off = np.ones(x.size, dtype=bool)
+    off[hit_rows] = False
     step = _block_rows(x.size, nodes.size)
     work = np.empty((step, nodes.size))
     for start in range(0, x.size, step):
-        stop = min(start + step, x.size)
-        table = np.subtract(x[start:stop, None], nodes, out=work[: stop - start])
-        yield slice(start, stop), table
+        keep = off[start : start + step]
+        if keep.all():
+            rows = slice(start, start + keep.size)
+        else:
+            rows = start + np.flatnonzero(keep)
+        points = x[rows]
+        if points.size:
+            yield rows, np.subtract(points[:, None], nodes, out=work[: points.size])
 
 
 def _node_polynomial(diffs: np.ndarray, log_c: float, sign_c: float) -> np.ndarray:
@@ -219,14 +222,11 @@ def interp_modified_lagrange(data: BarycentricData, x):
     xv = np.atleast_1d(x).ravel()
     shrink = 1.0 + data.lam
     log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
-    hit_rows, hit_cols, off = _split_hits(data.nodes, xv)
-    xo = xv[off]
-    out_off = np.empty(xo.size)
-    for rows, diffs in _difference_blocks(data.nodes, xo):
-        inner = (data.weights * data.values / diffs).sum(axis=1)
-        out_off[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
+    hit_rows, hit_cols = _node_hits(data.nodes, xv)
     out = np.empty(xv.size)
-    out[off] = out_off
+    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
+        inner = (data.weights * data.values / diffs).sum(axis=1)
+        out[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
     out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
@@ -248,24 +248,24 @@ def interp_barycentric(data: BarycentricData, x):
     xv = x.ravel()
     shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)
-    hit_rows, hit_cols, off = _split_hits(data.nodes, xv)
-    xo = xv[off]
+    hit_rows, hit_cols = _node_hits(data.nodes, xv)
     columns = [values[:, c].copy() for c in range(values.shape[1])]
-    num = np.empty((xo.size, len(columns)))
-    denom = np.empty(xo.size)
-    for rows, diffs in _difference_blocks(data.nodes, xo):
+    out = np.empty((xv.size, len(columns)))  # numerators until the division
+    denom = np.empty(xv.size)
+    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
         ratios = np.divide(data.weights, diffs, out=diffs)
         denom[rows] = ratios.sum(axis=1)
         for c, column in enumerate(columns):
-            num[rows, c] = np.vecdot(ratios, column)
+            out[rows, c] = np.vecdot(ratios, column)
+    # a node hit is f_j over a denominator of 1
+    out[hit_rows] = values[hit_cols]
+    denom[hit_rows] = 1.0
     if np.any(denom == 0.0):
         raise RuntimeError(
             "barycentric denominator vanished off-node; weights are inconsistent"
         )
-    num /= (shrink * denom)[:, None]
-    out = np.empty((xv.size, len(columns)))
-    out[off] = num
-    out[hit_rows] = values[hit_cols] / shrink
+    denom *= shrink
+    out /= denom[:, None]
     out = out.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
 
@@ -287,13 +287,10 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     nodes = rule.nodes
     weights = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
     log_c, sign_c = _product_scale_anchor(nodes, weights)
-    _, _, off = _split_hits(nodes, x)
-    xo = x[off]
-    out_off = np.empty(xo.size)
-    for rows, diffs in _difference_blocks(nodes, xo):
+    hit_rows, _ = _node_hits(nodes, x)
+    out = np.ones(x.size)
+    for rows, diffs in _difference_blocks(nodes, x, hit_rows):
         node_poly = _node_polynomial(diffs, log_c, sign_c)
         terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
-        out_off[rows] = np.abs(node_poly) * terms.sum(axis=1)
-    out = np.ones(x.size)
-    out[off] = out_off
+        out[rows] = np.abs(node_poly) * terms.sum(axis=1)
     return out

@@ -303,7 +303,8 @@ def run_fig3(config: ExperimentConfig) -> list:
     noise-free and noisy."""
     if config.l_values != config.n_values:
         raise ValueError(
-            "fig3 interpolates at L = N: l_values must equal n_values, got "
+            "fig3 interpolates at L = N: l_values must equal n_values (on the "
+            "command line, give --L with the same value as --N), got "
             f"{list(config.l_values)} and {list(config.n_values)}")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]

@@ -14,6 +14,7 @@ from tikbary.basis import BasisSpec
 from tikbary import cli
 from tikbary.cli import main
 from tikbary.csvio import parse_table, read_table, render_table
+from tikbary.experiments import desk_config
 from tikbary.quadrature import gauss_rule
 from tikbary.signals import f1
 
@@ -275,7 +276,15 @@ class TestRun:
                               "--N", "4", "--out", str(tmp_path))
         assert code == 2 and out == ""
         assert err == ("error: fig3 interpolates at L = N: l_values must equal "
-                       "n_values, got [5] and [4]\n")
+                       "n_values (on the command line, give --L with the same "
+                       "value as --N), got [5] and [4]\n")
+        assert list(tmp_path.iterdir()) == []
+        # --N alone keeps the desk scale's l_values, so it needs --L as well
+        code, out, err = _run(capsys, "run", "--experiment", "fig3", "--N", "4",
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "give --L with the same value as --N" in err
+        assert err.endswith(f"got {list(desk_config('fig3').l_values)} and [4]\n")
         assert list(tmp_path.iterdir()) == []
         code, out, _ = _run(capsys, "run", "--experiment", "fig3", "--L", "4",
                             "--N", "4", "--out", str(tmp_path))
