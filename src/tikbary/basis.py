@@ -35,6 +35,11 @@ class BasisSpec:
                 "weight exponents must be finite and exceed -1, "
                 f"got a={self.jacobi_a}, b={self.jacobi_b}"
             )
+        try:
+            self.mass  # overflows a double for a = 1100, b = 0, for example
+        except OverflowError:
+            raise ValueError(f"the weight's mass overflows at a={self.jacobi_a}, "
+                             f"b={self.jacobi_b}") from None
 
     @staticmethod
     def chebyshev1() -> "BasisSpec":

@@ -192,16 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_fn=True):
+    def add_common(p):
         p.add_argument("--basis", default="chebyshev1",
                        help="chebyshev1, legendre, or jacobi(a,b)")
         p.add_argument("--lambda", dest="lam", type=float, action="append",
                        help="shrinkage parameter (default 0)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        if with_fn:
-            p.add_argument("--fn", choices=sorted(FUNCTIONS), default=None)
-            p.add_argument("--data", default=None,
-                           help="CSV of (x, f(x)) rows sampled at the nodes")
+        p.add_argument("--fn", choices=sorted(FUNCTIONS), default=None)
+        p.add_argument("--data", default=None,
+                       help="CSV of (x, f(x)) rows sampled at the nodes")
 
     p = sub.add_parser("quadrature-dump", help="print a Gauss rule as CSV")
     p.add_argument("--basis", default="chebyshev1")

@@ -9,6 +9,7 @@ and values round-trip exactly.
 
 import csv
 import io
+from typing import NamedTuple
 
 __all__ = [
     "TableData",
@@ -17,11 +18,6 @@ __all__ = [
     "read_table",
     "parse_table",
 ]
-
-# fixed column order for error-report tables
-REPORT_COLUMNS = ("spec", "L", "N", "lambda", "seed", "snr_db",
-                  "uniform_error", "l2_error")
-
 
 def format_value(v) -> str:
     if v is None:
@@ -33,14 +29,13 @@ def format_value(v) -> str:
     return str(v)
 
 
-class TableData:
+class TableData(NamedTuple):
     """Parsed CSV: metadata dict, plot hints, column names, string rows."""
 
-    def __init__(self, metadata, plot_hints, columns, rows):
-        self.metadata = metadata
-        self.plot_hints = plot_hints
-        self.columns = columns
-        self.rows = rows
+    metadata: dict
+    plot_hints: list
+    columns: list
+    rows: list
 
     def column(self, name, as_float=False):
         i = self.columns.index(name)

@@ -12,7 +12,7 @@ degree of the fitted polynomial; fitting requires L <= N.
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -21,16 +21,19 @@ from ._version import __version__
 from .barycentric import BarycentricData, interp_barycentric, weights_gauss
 from .basis import BasisSpec
 from .configfile import render_value
-from .csvio import REPORT_COLUMNS, render_table
+from .csvio import render_table
 from .metrics import (
     LAMBDA_STAR,
-    _lambda_errors,
+    REPORT_COLUMNS,
+    _best_lambda,
+    _fit_cell,
+    _reports,
     default_l2_rule,
     default_lambda_grid,
     default_uniform_grid,
 )
 from .quadrature import gauss_rule
-from .regularized_fit import check_lambda, evaluate, fit
+from .regularized_fit import check_lambda
 from .signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 from .svgplot import render_csv_text
 
@@ -143,10 +146,9 @@ class ExperimentConfig:
         return ExperimentConfig(**kwargs)
 
 
-def paper_config(experiment: str, out_dir: str = "results",
-                 seed: int = 12345) -> ExperimentConfig:
+def paper_config(experiment: str, out_dir: str = "results") -> ExperimentConfig:
     """Full-scale runs matching the published figures (minutes, not seconds)."""
-    base = dict(experiment=experiment, seed=seed, out_dir=out_dir)
+    base = dict(experiment=experiment, out_dir=out_dir)
     if experiment == "fig1":
         return ExperimentConfig(**base, n_values=(500,),
                                 l_values=tuple(range(10, 501, 10)))
@@ -166,10 +168,9 @@ def paper_config(experiment: str, out_dir: str = "results",
     raise ValueError(f"no paper configuration for {experiment!r}")
 
 
-def desk_config(experiment: str, out_dir: str = "results-desk",
-                seed: int = 12345) -> ExperimentConfig:
+def desk_config(experiment: str, out_dir: str = "results-desk") -> ExperimentConfig:
     """Reduced runs with the same schema, for quick checks and CI."""
-    cfg = paper_config(experiment, out_dir=out_dir, seed=seed)
+    cfg = paper_config(experiment, out_dir=out_dir)
     small = dict(grid_equispaced=2001, grid_chebyshev=501)
     if experiment == "fig1":
         return replace(cfg, n_values=(200,), l_values=tuple(range(10, 201, 10)),
@@ -214,6 +215,12 @@ def _emit(config, name, columns, rows, plot_hints, extra_meta=()) -> list:
     return [csv_path, svg_path]
 
 
+def _emit_reports(config, name, reports, plot_hints, extra_meta) -> list:
+    """_emit for a table of ErrorReports, one row each."""
+    return _emit(config, name, REPORT_COLUMNS, [astuple(r) for r in reports],
+                 plot_hints, extra_meta)
+
+
 def _additive_noise(config, index) -> NoiseSpec:
     return NoiseSpec("additive-white-snr", derive_seed(config.seed, index),
                      snr_db=config.snr_db)
@@ -228,54 +235,38 @@ def _noise_from_config(config: ExperimentConfig, index: int) -> NoiseSpec | None
                      c=config.noise_c)
 
 
-def _error_rows(spec_name, L, N, lambdas, seed, snr_db, f_grid, p_grid,
-                l2_rule, f_l2, p_l2) -> list:
-    """One error row per lambda for a lambda = 0 output p (on the grid and at
-    the L2 rule's nodes); the output at lambda is p / (1 + lambda)."""
-    return [[spec_name, L, N, lam, seed, snr_db, err_u, err_2]
-            for lam, err_u, err_2 in _lambda_errors(lambdas, f_grid, p_grid,
-                                                    l2_rule, f_l2, p_l2)]
-
-
 def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
-    """Least-squares error rows for each function in fnames, one list each.
+    """Least-squares ErrorReports for each function in fnames, one list each.
 
     cells are (L, N, noise index) triples, grouped by N: consecutive cells
-    with the same N share one Gauss rule.  Each sample vector is fitted and
-    evaluated once, at lambda = 0, and every lambda row scales that output by
-    1/(1+lambda).  Rows follow the order of cells, then of config.lambdas.
+    with the same N share one Gauss rule, and each (N, L) one L2 rule, for
+    every function.  Reports follow the order of cells, then of
+    config.lambdas.
     """
     spec = BasisSpec.from_name(config.basis)
     grid = _grid(config)
-    f_grids = [np.asarray(FUNCTIONS[fname](grid), dtype=float) for fname in fnames]
+    fs = [FUNCTIONS[fname] for fname in fnames]
+    f_grids = [np.asarray(f(grid), dtype=float) for f in fs]
     tables = [[] for _ in fnames]
     for N, same_n in groupby(cells, key=lambda cell: cell[1]):
         rule = gauss_rule(spec, N + 1)
         group = [(L, default_l2_rule(rule, L), _noise_from_config(config, index))
                  for L, _, index in same_n]
-        for fname, f_grid, rows in zip(fnames, f_grids, tables):
-            f = FUNCTIONS[fname]
+        for f, f_grid, reports in zip(fs, f_grids, tables):
             f_nodes = np.asarray(f(rule.nodes), dtype=float)
             for L, l2r, noise in group:
-                samples = f_nodes if noise is None else add_noise(f_nodes, noise)
-                f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-                approx = fit(rule, L, 0.0, samples)
-                rows += _error_rows(
-                    spec.name, L, N, config.lambdas,
-                    None if noise is None else noise.seed,
-                    None if noise is None else noise.snr_db,
-                    f_grid, evaluate(approx, grid),
-                    l2r, f_l2, evaluate(approx, l2r.nodes))
+                reports += _fit_cell(rule, L, f, f_nodes, noise, l2r,
+                                     config.lambdas, grid, f_grid)
     return tables
 
 
 def _emit_fig12(config: ExperimentConfig, cells, x, fixed) -> list:
     written = []
-    for fname, rows in zip(("f1", "f2"), _fit_tables(config, ("f1", "f2"), cells)):
+    for fname, reports in zip(("f1", "f2"), _fit_tables(config, ("f1", "f2"), cells)):
         hints = [f"x = {x}", "y = uniform_error, l2_error", "group-by = lambda",
                  "logy = true", f"title = errors vs {x}, {fname}, {fixed}"]
-        written += _emit(config, f"{config.experiment}_{fname}",
-                         REPORT_COLUMNS, rows, hints)
+        written += _emit_reports(config, f"{config.experiment}_{fname}",
+                                 reports, hints, ())
     return written
 
 
@@ -310,7 +301,7 @@ def run_fig3(config: ExperimentConfig) -> list:
     f = FUNCTIONS[config.fn]
     grid = _grid(config)
     f_grid = np.asarray(f(grid), dtype=float)
-    rows = []
+    reports = []
     for i, N in enumerate(config.n_values):
         rule = gauss_rule(spec, N + 1)
         clean = np.asarray(f(rule.nodes), dtype=float)
@@ -324,13 +315,13 @@ def run_fig3(config: ExperimentConfig) -> list:
                                np.column_stack([clean, noisy]))
         p_grid = interp_barycentric(data, grid)
         p_l2 = interp_barycentric(data, l2r.nodes)
-        for c, seed, snr in ((0, None, None), (1, noise.seed, config.snr_db)):
-            rows += _error_rows(spec.name, N, N, config.lambdas, seed, snr,
-                                f_grid, p_grid[:, c], l2r, f_l2, p_l2[:, c])
+        for c, column_noise in enumerate((None, noise)):
+            reports += _reports(rule, N, config.lambdas, column_noise, f_grid,
+                                p_grid[:, c], l2r, f_l2, p_l2[:, c])
     hints = ["x = N", "y = l2_error, uniform_error",
              "group-by = lambda, snr_db", "logy = true",
              f"title = interpolation of {config.fn} vs N"]
-    return _emit(config, config.experiment, REPORT_COLUMNS, rows, hints)
+    return _emit_reports(config, config.experiment, reports, hints, ())
 
 
 def run_fig45(config: ExperimentConfig) -> list:
@@ -391,15 +382,12 @@ def run_sweep(config: ExperimentConfig) -> list:
     """One lambda sweep at fixed (L, N); reports the argmin per metric, the
     first lambda reaching the minimum."""
     L = config.l_values[0]
-    [rows] = _fit_tables(config, (config.fn,), [(L, config.n_values[0], 0)])
+    [reports] = _fit_tables(config, (config.fn,), [(L, config.n_values[0], 0)])
     hints = ["x = lambda", "y = uniform_error, l2_error", "logx = true",
              "logy = true", f"title = lambda sweep, {config.fn}, L={L}"]
-    # columns 6 and 7 are the two errors, column 3 is lambda; argmin takes the
-    # first row at the minimum, as in lambda_sweep
-    errors = np.array([row[6:] for row in rows])
-    best = [(f"best-lambda-{metric}", rows[int(np.argmin(errors[:, c]))][3])
-            for c, metric in enumerate(("uniform_error", "l2_error"))]
-    return _emit(config, config.experiment, REPORT_COLUMNS, rows, hints, best)
+    best = [(f"best-lambda-{metric}", lam)
+            for metric, lam in _best_lambda(reports).items()]
+    return _emit_reports(config, config.experiment, reports, hints, best)
 
 
 def run_custom(config: ExperimentConfig) -> list:
@@ -409,11 +397,11 @@ def run_custom(config: ExperimentConfig) -> list:
     if not pairs:
         raise ValueError("no runnable (L, N) cells, every L exceeds every N")
     cells = [(L, N, index) for index, (L, N) in enumerate(pairs)]
-    [rows] = _fit_tables(config, (config.fn,), cells)
+    [reports] = _fit_tables(config, (config.fn,), cells)
     xcol = "N" if len(config.n_values) > 1 else "L"
     hints = [f"x = {xcol}", "y = uniform_error, l2_error", "group-by = lambda",
              "logy = true", f"title = custom run, {config.fn}"]
-    return _emit(config, config.experiment, REPORT_COLUMNS, rows, hints)
+    return _emit_reports(config, config.experiment, reports, hints, ())
 
 
 _RUNNERS = {

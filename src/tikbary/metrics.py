@@ -63,10 +63,14 @@ def default_l2_rule(rule: QuadratureRule, L: int):
     return gauss_rule(rule.spec, points)
 
 
+REPORT_COLUMNS = ("spec", "L", "N", "lambda", "seed", "snr_db",
+                  "uniform_error", "l2_error")
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """The two errors of one (L, N, lambda) fit, with the noise it was drawn
-    from; the fields are the columns of csvio.REPORT_COLUMNS in order."""
+    from; the fields are the columns of REPORT_COLUMNS in order."""
 
     spec_name: str
     L: int
@@ -79,7 +83,7 @@ class ErrorReport:
 
     def __post_init__(self):
         if not (self.uniform_error >= 0.0) or not (self.l2_error >= 0.0):
-            raise ValueError("errors must be >= 0")
+            raise ValueError(f"errors must be >= 0, got {self.uniform_error, self.l2_error}")
 
 
 def uniform_error(f, approx, grid) -> float:
@@ -96,17 +100,38 @@ def l2_error(f, approx, rule: QuadratureRule) -> float:
     return math.sqrt(float(np.sum(rule.weights * r * r)))
 
 
-def _lambda_errors(lambdas, f_grid, p_grid, l2_rule: QuadratureRule, f_l2, p_l2):
-    """(lambda, uniform error, L2 error) for each lambda, where p_grid and
-    p_l2 are the lambda = 0 output on the grid and at the L2 rule's nodes;
-    the output at lambda is that times 1/(1+lambda)."""
+def _reports(rule: QuadratureRule, L: int, lambdas, noise: NoiseSpec | None,
+             f_grid, p_grid, l2_rule: QuadratureRule, f_l2, p_l2) -> list:
+    """An ErrorReport per lambda for p, the lambda = 0 output of degree L on
+    rule, given on the grid and at the L2 rule's nodes; the output at lambda
+    is p / (1 + lambda).  Seed and snr_db come from noise, None without it."""
+    seed = None if noise is None else noise.seed
+    snr_db = None if noise is None else noise.snr_db
     out = []
     for lam in lambdas:
         err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
         resid = f_l2 - p_l2 / (1.0 + lam)
         err_2 = math.sqrt(float(np.sum(l2_rule.weights * resid * resid)))
-        out.append((lam, err_u, err_2))
+        out.append(ErrorReport(rule.spec.name, L, rule.degree, lam, seed, snr_db,
+                               err_u, err_2))
     return out
+
+
+def _fit_cell(rule: QuadratureRule, L: int, f, f_nodes, noise: NoiseSpec | None,
+              l2_rule: QuadratureRule, lambdas, grid, f_grid) -> list:
+    """The ErrorReports of one cell: f_nodes, noisy if noise is given, fitted at
+    lambda = 0 and evaluated once on the grid and once at the L2 rule's nodes."""
+    samples = f_nodes if noise is None else add_noise(f_nodes, noise)
+    f_l2 = f_nodes if l2_rule is rule else np.asarray(f(l2_rule.nodes), dtype=float)
+    approx = fit(rule, L, 0.0, samples)
+    return _reports(rule, L, lambdas, noise, f_grid, evaluate(approx, grid),
+                    l2_rule, f_l2, evaluate(approx, l2_rule.nodes))
+
+
+def _best_lambda(reports) -> dict:
+    """The lambda of the first report at which each error is least."""
+    return {metric: reports[int(np.argmin([getattr(r, metric) for r in reports]))].lam
+            for metric in ("uniform_error", "l2_error")}
 
 
 @dataclass(frozen=True)
@@ -139,24 +164,10 @@ def lambda_sweep(
     for lam in lambdas:
         check_lambda(lam)
     grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    l2r = default_l2_rule(rule, L)
-    f_nodes = np.asarray(f(rule.nodes), dtype=float)
-    samples = f_nodes if noise is None else add_noise(f_nodes, noise)
-    f_grid = np.asarray(f(grid), dtype=float)
-    f_l2 = f_nodes if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-    seed = noise.seed if noise is not None else None
-    snr = noise.snr_db if noise is not None else None
-    approx = fit(rule, L, 0.0, samples)
-    p_grid = evaluate(approx, grid)
-    p_l2 = evaluate(approx, l2r.nodes)
-    reports = [ErrorReport(rule.spec.name, L, rule.degree, lam, seed, snr, err_u, err_2)
-               for lam, err_u, err_2 in _lambda_errors(lambdas, f_grid, p_grid,
-                                                       l2r, f_l2, p_l2)]
-    best = {
-        "uniform_error": reports[int(np.argmin([r.uniform_error for r in reports]))].lam,
-        "l2_error": reports[int(np.argmin([r.l2_error for r in reports]))].lam,
-    }
-    return SweepResult(reports=tuple(reports), best_lambda=best)
+    reports = _fit_cell(rule, L, f, np.asarray(f(rule.nodes), dtype=float), noise,
+                        default_l2_rule(rule, L), lambdas, grid,
+                        np.asarray(f(grid), dtype=float))
+    return SweepResult(reports=tuple(reports), best_lambda=_best_lambda(reports))
 
 
 @dataclass(frozen=True)

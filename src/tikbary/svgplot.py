@@ -23,6 +23,7 @@ _W, _H = 860, 540
 _ML, _MR, _MT, _MB = 72, 240, 42, 54
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+_TICK_TARGET = 6  # tick intervals a linear axis aims at
 
 
 def _esc(s: str) -> str:
@@ -37,10 +38,10 @@ def _hint_map(hints):
     return out
 
 
-def _nice_ticks(lo, hi, target=5):
+def _nice_ticks(lo, hi):
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -146,8 +147,8 @@ def render_table_data(table) -> str:
     def sy(v):
         return py0 - (ty(v) - ylo) / (yhi - ylo) * (py0 - py1)
 
-    xticks = _log_ticks(10.0**xlo, 10.0**xhi) if logx else _nice_ticks(xlo, xhi, 6)
-    yticks = _log_ticks(10.0**ylo, 10.0**yhi) if logy else _nice_ticks(ylo, yhi, 6)
+    xticks = _log_ticks(10.0**xlo, 10.0**xhi) if logx else _nice_ticks(xlo, xhi)
+    yticks = _log_ticks(10.0**ylo, 10.0**yhi) if logy else _nice_ticks(ylo, yhi)
     for v in xticks:
         if tx(v) < xlo or tx(v) > xhi:
             continue

@@ -6,6 +6,7 @@ closed forms never test themselves.
 """
 
 import math
+import re
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -75,6 +76,13 @@ class TestBasisSpec:
             BasisSpec(0.0, -1.5)
         with pytest.raises(ValueError, match="finite"):
             BasisSpec(float("inf"), 0.0)
+
+    @pytest.mark.parametrize("a, b", [(1100.0, 0.0), (1e6, 0.0), (1e308, 1.0),
+                                      (0.0, 1e6)])
+    def test_mass_past_double_range_is_rejected(self, a, b):
+        message = re.escape(f"mass overflows at a={a}, b={b}")
+        with pytest.raises(ValueError, match=message):
+            BasisSpec(a, b)
 
     def test_names(self):
         assert CHEB.name == "chebyshev1"

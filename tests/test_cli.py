@@ -217,6 +217,25 @@ class TestSweep:
         assert [float(v) for v in table.column("lambda")] == [0.1, 0.2]
 
 
+class TestBasisOverflow:
+    @pytest.mark.parametrize("argv", [
+        ("quadrature-dump", "--points", "3", "--basis", "jacobi(1e6,0)"),
+        ("quadrature-dump", "--points", "3", "--basis", "jacobi(1100,0)"),
+        ("fit", "--L", "2", "--N", "2", "--fn", "f2", "--basis", "jacobi(1e308,1)"),
+        ("run", "--experiment", "custom", "--L", "2", "--N", "2",
+         "--basis", "jacobi(1e6,0)"),
+    ])
+    def test_weight_mass_past_double_range_is_a_clean_error(self, capsys, tmp_path,
+                                                             argv):
+        if argv[0] == "run":
+            argv += ("--out", str(tmp_path))
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "mass overflows" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRun:
     def test_nan_lambda_is_a_clean_error(self, capsys, tmp_path):
         code, _, err = _run(capsys, "run", "--experiment", "sweep",

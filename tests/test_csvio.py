@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from tikbary.csvio import (
-    REPORT_COLUMNS,
     format_value,
     parse_table,
     read_table,
     render_table,
 )
-from tikbary.metrics import ErrorReport
+from tikbary.metrics import REPORT_COLUMNS, ErrorReport
 
 
 class TestFormatValue:

@@ -1,6 +1,7 @@
 """Experiment configs and the figure runners, at reduced sizes."""
 
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from tikbary.barycentric import (
     weights_gauss,
 )
 from tikbary.basis import BasisSpec
-from tikbary.configfile import parse_config_text
-from tikbary.csvio import REPORT_COLUMNS, format_value, read_table
-from tikbary import experiments
+from tikbary.configfile import parse_config_text, read_config
+from tikbary.csvio import format_value, read_table
+from tikbary import experiments, metrics
 from tikbary.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from tikbary.experiments import (
 )
 from tikbary.metrics import (
     LAMBDA_STAR,
+    REPORT_COLUMNS,
     default_l2_rule,
     default_uniform_grid,
     lambda_sweep,
@@ -30,6 +32,9 @@ from tikbary.metrics import (
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import evaluate, fit
 from tikbary.signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _tiny(experiment, tmp_path, **overrides):
@@ -75,6 +80,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="snr_db must be finite"):
                 ExperimentConfig("custom", l_values=(4,), n_values=(8,),
                                  noise_kind=kind, snr_db=bad)
+
+    @pytest.mark.parametrize("basis", ["jacobi(1e6,0)", "jacobi(1100,0)"])
+    def test_basis_mass_must_fit_a_double(self, basis):
+        # rejected when the config is built, not when a rule is first made
+        with pytest.raises(ValueError, match="mass overflows"):
+            ExperimentConfig("custom", basis=basis, l_values=(4,), n_values=(8,))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, None])
     def test_noise_c_must_be_finite_and_nonnegative(self, bad):
@@ -185,6 +196,20 @@ class TestFactories:
     def test_custom_has_no_factory(self):
         with pytest.raises(ValueError):
             paper_config("custom")
+
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("experiment",
+                             ["fig1", "fig2", "fig3", "fig4", "fig5", "sweep"])
+    def test_shipped_configs_are_the_factories(self, experiment, scale):
+        path = _CONFIGS / f"{experiment}-{scale}.cfg"
+        shipped = ExperimentConfig.from_mapping(read_config(path))
+        factory = paper_config if scale == "paper" else desk_config
+        assert shipped == replace(factory(experiment), out_dir=shipped.out_dir)
+
+    def test_every_shipped_config_has_a_factory(self):
+        assert sorted(p.name for p in _CONFIGS.iterdir()) == sorted(
+            f"{e}-{scale}.cfg" for e in ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep")
+            for scale in ("desk", "paper"))
 
 
 class TestRunners:
@@ -492,16 +517,16 @@ class TestLambdaAsAScalar:
                                                     monkeypatch):
         calls = {"gauss_rule": 0, "fit": 0}
 
-        def counted(name):
-            original = getattr(experiments, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(experiments, name, counted(name))
+        for module, name in ((experiments, "gauss_rule"), (metrics, "fit")):
+            monkeypatch.setattr(module, name, counted(module, name))
         cfg = replace(desk_config("fig2", out_dir=str(tmp_path)),
                       lambdas=(0.0, 0.1, LAMBDA_STAR, 1.0))
         run(cfg)
@@ -509,3 +534,33 @@ class TestLambdaAsAScalar:
         # whatever the number of lambdas
         assert calls == {"gauss_rule": len(cfg.n_values),
                          "fit": 2 * len(cfg.n_values)}
+
+    def test_one_l2_rule_per_degree_shared_by_both_functions(self, tmp_path,
+                                                             monkeypatch):
+        points = []
+        original = experiments.gauss_rule
+
+        def counted(spec, n):
+            points.append(n)
+            return original(spec, n)
+
+        for module in (experiments, metrics):
+            monkeypatch.setattr(module, "gauss_rule", counted)
+        cfg = _tiny("fig1", tmp_path, n_values=(40,), l_values=(10, 20, 30))
+        run(cfg)
+        # the 41-point fitting rule, which also measures the L2 error at
+        # L = 10, then 2L+2 points at L = 20 and 30, for f1 and f2 alike
+        assert points == [41, 42, 62]
+
+    def test_nan_error_is_rejected_before_writing(self, tmp_path, monkeypatch):
+        # finite at the nodes, so the fit succeeds, but NaN at the grid's
+        # end points x = -1 and 1
+        monkeypatch.setitem(experiments.FUNCTIONS, "f1-nan-ends",
+                            lambda x: np.where(np.abs(x) == 1.0, np.nan,
+                                               FUNCTIONS["f1"](x)))
+        cfg = ExperimentConfig("custom", fn="f1-nan-ends", out_dir=str(tmp_path),
+                               l_values=(4,), n_values=(8,), noise_kind=None,
+                               grid_equispaced=401, grid_chebyshev=101)
+        with pytest.raises(ValueError, match=r"errors must be >= 0, got \(nan, "):
+            run(cfg)
+        assert list(tmp_path.iterdir()) == []

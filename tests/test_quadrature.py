@@ -158,6 +158,16 @@ class TestRuleStructure:
             assert np.all(rule.weights > 0.0)
             assert abs(np.sum(rule.weights) - spec.mass) < 1e-12 * spec.mass
 
+    @pytest.mark.parametrize("a, b", [(1030.0, 0.0), (500.0, -0.5)])
+    def test_masses_just_inside_double_range(self, a, b):
+        # jacobi(1030, 0) has mass 2.2e307; BasisSpec rejects the overflow
+        # a little further out
+        spec = BasisSpec(a, b)
+        for pts in (1, 3, 8, 40):
+            rule = gauss_rule(spec, pts)
+            assert np.all(np.isfinite(rule.weights)) and np.all(rule.weights > 0.0)
+            assert abs(np.sum(rule.weights) - spec.mass) < 1e-12 * spec.mass
+
     def test_nodes_sorted_inside_interval(self):
         for spec in (CHEB, LEG, JAC):
             rule = gauss_rule(spec, 40)
