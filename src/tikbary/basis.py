@@ -137,20 +137,35 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
     return RecurrenceTable(a=a, b=b)
 
 
-def _orthonormal_rows(spec: BasisSpec, l_max: int, x: np.ndarray):
+def _orthonormal_rows(spec: BasisSpec, l_max: int, x: np.ndarray, out=None):
     """Yield p_0(x), ..., p_l_max(x) from the normalized recurrence.
 
     The one copy that eval_orthonormal, fit, evaluate and weights_gauss
     iterate.  Holds two rows at a time, so a caller that needs only the last
-    one never builds the (l_max+1) x |x| table.
+    one never builds the (l_max+1) x |x| table.  Each row is a new array,
+    unless out, an (m, |x|) array, is given: row l is then computed in
+    out[l % m] and yielded as that view, so the caller must use it before m
+    more rows are drawn; m >= 3 unless m > l_max.  Either way the bits are
+    those of the expression ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}).
     """
     table = recurrence_coefficients(spec, l_max + 2)
     sqb = np.sqrt(table.b)
+
+    def new_row(l):
+        return np.empty_like(x) if out is None else out[l % len(out)]
+
     p_prev = np.zeros_like(x)
-    p_curr = np.full_like(x, 1.0 / sqb[0])
+    p_curr = new_row(0)
+    p_curr.fill(1.0 / sqb[0])
     yield p_curr
+    scratch = np.empty_like(x)
     for k in range(l_max):
-        p_next = ((x - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
+        p_next = new_row(k + 1)
+        np.subtract(x, table.a[k], out=scratch)
+        scratch *= p_curr
+        np.multiply(sqb[k], p_prev, out=p_next)
+        np.subtract(scratch, p_next, out=p_next)
+        p_next /= sqb[k + 1]
         yield p_next
         p_prev, p_curr = p_curr, p_next
 

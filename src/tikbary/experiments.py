@@ -26,7 +26,8 @@ from .metrics import (
     LAMBDA_STAR,
     REPORT_COLUMNS,
     _best_lambda,
-    _fit_cell,
+    _fit_cells,
+    _max_errors,
     _reports,
     default_l2_rule,
     default_lambda_grid,
@@ -240,24 +241,22 @@ def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
 
     cells are (L, N, noise index) triples, grouped by N: consecutive cells
     with the same N share one Gauss rule, and each (N, L) one L2 rule, for
-    every function.  Reports follow the order of cells, then of
-    config.lambdas.
+    every function.  For each function, metrics._fit_cells fits every
+    cell's sample vector once at lambda = 0 and scores the whole table in
+    one blocked GEMM pass over the grid: chunks of 16 basis rows, in row
+    blocks of at most 2^18 doubles of values and chunk together, so the last
+    bits depend on the BLAS kernel and reruns on one machine are bitwise
+    equal.  Reports follow the order of cells, then of config.lambdas.
     """
     spec = BasisSpec.from_name(config.basis)
     grid = _grid(config)
-    fs = [FUNCTIONS[fname] for fname in fnames]
-    f_grids = [np.asarray(f(grid), dtype=float) for f in fs]
-    tables = [[] for _ in fnames]
+    scored = []
     for N, same_n in groupby(cells, key=lambda cell: cell[1]):
         rule = gauss_rule(spec, N + 1)
-        group = [(L, default_l2_rule(rule, L), _noise_from_config(config, index))
-                 for L, _, index in same_n]
-        for f, f_grid, reports in zip(fs, f_grids, tables):
-            f_nodes = np.asarray(f(rule.nodes), dtype=float)
-            for L, l2r, noise in group:
-                reports += _fit_cell(rule, L, f, f_nodes, noise, l2r,
-                                     config.lambdas, grid, f_grid)
-    return tables
+        scored += [(rule, L, default_l2_rule(rule, L), _noise_from_config(config, index))
+                   for L, _, index in same_n]
+    return [_fit_cells(f, np.asarray(f(grid), dtype=float), scored, config.lambdas, grid)
+            for f in (FUNCTIONS[fname] for fname in fnames)]
 
 
 def _emit_fig12(config: ExperimentConfig, cells, x, fixed) -> list:
@@ -316,8 +315,9 @@ def run_fig3(config: ExperimentConfig) -> list:
         p_grid = interp_barycentric(data, grid)
         p_l2 = interp_barycentric(data, l2r.nodes)
         for c, column_noise in enumerate((None, noise)):
-            reports += _reports(rule, N, config.lambdas, column_noise, f_grid,
-                                p_grid[:, c], l2r, f_l2, p_l2[:, c])
+            uniform = _max_errors(f_grid, p_grid[:, c], config.lambdas)
+            reports += _reports(rule, N, config.lambdas, column_noise, uniform, l2r,
+                                f_l2, p_l2[:, c])
     hints = ["x = N", "y = l2_error, uniform_error",
              "group-by = lambda, snr_db", "logy = true",
              f"title = interpolation of {config.fn} vs N"]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, gauss_rule
-from .regularized_fit import (check_lambda, continuum_limit_fit, evaluate, fit,
-                              lebesgue_constant)
+from .regularized_fit import (_blocked_values, _values, check_lambda,
+                              continuum_limit_fit, evaluate, fit, lebesgue_constant)
 from .signals import NoiseSpec, add_noise
 
 __all__ = [
@@ -100,32 +100,76 @@ def l2_error(f, approx, rule: QuadratureRule) -> float:
     return math.sqrt(float(np.sum(rule.weights * r * r)))
 
 
+def _max_errors(f, p, lambdas) -> np.ndarray:
+    """max |f - p / (1 + lambda)| over the last axis, one column per lambda:
+    shape p.shape[:-1] + (len(lambdas),).  np.max passes NaN through."""
+    return np.stack([np.max(np.abs(f - p / (1.0 + lam)), axis=-1) for lam in lambdas],
+                    axis=-1)
+
+
 def _reports(rule: QuadratureRule, L: int, lambdas, noise: NoiseSpec | None,
-             f_grid, p_grid, l2_rule: QuadratureRule, f_l2, p_l2) -> list:
+             uniform, l2_rule: QuadratureRule, f_l2, p_l2) -> list:
     """An ErrorReport per lambda for p, the lambda = 0 output of degree L on
-    rule, given on the grid and at the L2 rule's nodes; the output at lambda
-    is p / (1 + lambda).  Seed and snr_db come from noise, None without it."""
+    rule: uniform holds its uniform error at each lambda, and p_l2 its values
+    at the L2 rule's nodes; the output at lambda is p / (1 + lambda).  Seed
+    and snr_db come from noise, None without it."""
     seed = None if noise is None else noise.seed
     snr_db = None if noise is None else noise.snr_db
     out = []
-    for lam in lambdas:
-        err_u = float(np.max(np.abs(f_grid - p_grid / (1.0 + lam))))
+    for lam, err_u in zip(lambdas, uniform):
         resid = f_l2 - p_l2 / (1.0 + lam)
         err_2 = math.sqrt(float(np.sum(l2_rule.weights * resid * resid)))
         out.append(ErrorReport(rule.spec.name, L, rule.degree, lam, seed, snr_db,
-                               err_u, err_2))
+                               float(err_u), err_2))
     return out
 
 
-def _fit_cell(rule: QuadratureRule, L: int, f, f_nodes, noise: NoiseSpec | None,
-              l2_rule: QuadratureRule, lambdas, grid, f_grid) -> list:
-    """The ErrorReports of one cell: f_nodes, noisy if noise is given, fitted at
-    lambda = 0 and evaluated once on the grid and once at the L2 rule's nodes."""
-    samples = f_nodes if noise is None else add_noise(f_nodes, noise)
-    f_l2 = f_nodes if l2_rule is rule else np.asarray(f(l2_rule.nodes), dtype=float)
-    approx = fit(rule, L, 0.0, samples)
-    return _reports(rule, L, lambdas, noise, f_grid, evaluate(approx, grid),
-                    l2_rule, f_l2, evaluate(approx, l2_rule.nodes))
+def _fit_cells(f, f_grid, cells, lambdas, grid) -> list:
+    """The ErrorReports of f on every cell, in the order of cells and then
+    of lambdas: one table.
+
+    A cell is (rule, L, l2_rule, noise), and all cells share one basis;
+    f_grid is f on the 1-d grid.  The samples of f at each cell's nodes,
+    noisy if noise is given, are fitted once at lambda = 0 by fit, and the
+    coefficient vectors become the zero-padded columns of one matrix.  One
+    blocked GEMM pass over the grid (regularized_fit._blocked_values) gives
+    every column's uniform error at every lambda, reduced block by block
+    with np.maximum, which passes NaN through; the columns that share an L2
+    rule get their values at its nodes from one more call.  The output at
+    lambda is the lambda = 0 output times 1/(1+lambda).  The values' last
+    bits depend on the BLAS kernel and on the number of columns.
+    """
+    columns, f_l2 = [], []
+    f_at = {}  # f at the nodes of each rule, by id
+    for rule, L, l2_rule, noise in cells:
+        for r in (rule, l2_rule):
+            if id(r) not in f_at:
+                f_at[id(r)] = np.asarray(f(r.nodes), dtype=float)
+        f_nodes = f_at[id(rule)]
+        samples = f_nodes if noise is None else add_noise(f_nodes, noise)
+        columns.append(fit(rule, L, 0.0, samples).coefficients)
+        f_l2.append(f_at[id(l2_rule)])
+    spec = cells[0][0].spec
+    coefficients = np.zeros((max(c.size for c in columns), len(columns)))
+    for c, beta in enumerate(columns):
+        coefficients[:beta.size, c] = beta
+    uniform = np.zeros((len(columns), len(lambdas)))
+    for start, values in _blocked_values(spec, coefficients, grid):
+        block = _max_errors(f_grid[start:start + values.shape[1]], values, lambdas)
+        np.maximum(uniform, block, out=uniform)
+    shared = {}  # column indices by L2 rule
+    for c, cell in enumerate(cells):
+        shared.setdefault(id(cell[2]), []).append(c)
+    p_l2 = [None] * len(columns)
+    for cols in shared.values():
+        depth = max(columns[c].size for c in cols)
+        values = _values(spec, coefficients[:depth, cols], cells[cols[0]][2].nodes)
+        for c, row in zip(cols, values):
+            p_l2[c] = row
+    reports = []
+    for (rule, L, l2_rule, noise), err_u, f_c, p_c in zip(cells, uniform, f_l2, p_l2):
+        reports += _reports(rule, L, lambdas, noise, err_u, l2_rule, f_c, p_c)
+    return reports
 
 
 def _best_lambda(reports) -> dict:
@@ -155,18 +199,21 @@ def lambda_sweep(
     grid=None,
 ) -> SweepResult:
     """Measure both errors, against the clean f, of the fit at every lambda
-    to a single shared noise draw.  The samples are fitted and evaluated once,
-    at lambda = 0; the fit at lambda is that output times 1/(1+lambda).
-    best_lambda holds the argmin lambda under each metric."""
+    to a single shared noise draw.  The samples are fitted once, at lambda =
+    0, and evaluated by one blocked GEMM pass over the grid and one call at
+    the L2 rule's nodes (_fit_cells): 16 basis rows per GEMM, in row blocks
+    of at most 2^18 doubles, so the last bits depend on the BLAS kernel and
+    reruns on one machine are bitwise equal.  The fit at lambda is that
+    output times 1/(1+lambda).  best_lambda holds the argmin lambda under
+    each metric."""
     lambdas = [float(v) for v in np.atleast_1d(lambdas)]
     if not lambdas:
         raise ValueError("need at least one lambda")
     for lam in lambdas:
         check_lambda(lam)
-    grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    reports = _fit_cell(rule, L, f, np.asarray(f(rule.nodes), dtype=float), noise,
-                        default_l2_rule(rule, L), lambdas, grid,
-                        np.asarray(f(grid), dtype=float))
+    grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float).ravel()
+    reports = _fit_cells(f, np.asarray(f(grid), dtype=float),
+                         [(rule, L, default_l2_rule(rule, L), noise)], lambdas, grid)
     return SweepResult(reports=tuple(reports), best_lambda=_best_lambda(reports))
 
 

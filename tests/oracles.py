@@ -1,7 +1,8 @@
 """Independent reference computations the tests compare the package against.
 
 None of these is on a path the package runs: the dense normal-equations
-solve cross-checks the closed-form fit, and the Christoffel-Darboux kernel in
+solve cross-checks the closed-form fit, the degree-by-degree sum cross-checks
+the blocked GEMM values of evaluate, and the Christoffel-Darboux kernel in
 direct and quotient form cross-checks the basis recurrence.
 """
 
@@ -26,6 +27,19 @@ def normal_equations_oracle(rule, L: int, lam: float, samples) -> np.ndarray:
     rhs = A.T @ (rule.weights * samples)
     factor = scipy.linalg.cho_factor(M)
     return scipy.linalg.cho_solve(factor, rhs)
+
+
+def per_column_values_oracle(spec, coefficients, x) -> np.ndarray:
+    """The (k, |x|) values at the 1-d x of the columns of the (L+1, k)
+    coefficient matrix, degree by degree: every column adds beta_l p_l(x) to
+    its sum one basis row at a time, the loop evaluate ran per vector before
+    its sums became blocked GEMMs."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    rows = eval_orthonormal(spec, coefficients.shape[0] - 1, x)
+    acc = coefficients[0][:, None] * rows[0]
+    for beta, p in zip(coefficients[1:], rows[1:]):
+        acc += beta[:, None] * p
+    return acc
 
 
 def norm_ratio(spec, n: int) -> float:

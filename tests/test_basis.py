@@ -18,6 +18,7 @@ from oracles import cd_kernel, cd_kernel_quotient, norm_ratio
 from tikbary.basis import (
     BasisSpec,
     RecurrenceTable,
+    _orthonormal_rows,
     eval_orthonormal,
     recurrence_coefficients,
 )
@@ -220,6 +221,20 @@ class TestEvalOrthonormal:
         assert v.shape == (4,)
         v = eval_orthonormal(LEG, 3, np.zeros((2, 5)))
         assert v.shape == (4, 2, 5)
+
+    @pytest.mark.parametrize("spec", [CHEB, LEG, JAC], ids=["cheb", "leg", "jac"])
+    def test_rows_are_bitwise_the_recurrence_expression(self, spec):
+        # fresh rows, and rows computed in place in a ring of 3 or 16, are
+        # all bitwise the one-line expression of the recurrence
+        x = np.linspace(-1.0, 1.0, 301)
+        table = recurrence_coefficients(spec, 42)
+        sqb = np.sqrt(table.b)
+        want = [np.zeros_like(x), np.full_like(x, 1.0 / sqb[0])]
+        for k in range(40):
+            want.append(((x - table.a[k]) * want[-1] - sqb[k] * want[-2]) / sqb[k + 1])
+        for out in (None, np.empty((3, x.size)), np.empty((16, x.size))):
+            got = [row.copy() for row in _orthonormal_rows(spec, 40, x, out=out)]
+            np.testing.assert_array_equal(got, want[1:])
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,13 @@ import pytest
 from oracles import normal_equations_oracle
 from tikbary.barycentric import BarycentricData, interp_barycentric, weights_gauss
 from tikbary.basis import BasisSpec
-from tikbary import cli
+from tikbary import cli, experiments, regularized_fit
 from tikbary.cli import main
 from tikbary.csvio import parse_table, read_table, render_table
 from tikbary.experiments import desk_config
+from tikbary.metrics import default_uniform_grid
 from tikbary.quadrature import gauss_rule
-from tikbary.signals import f1
+from tikbary.signals import FUNCTIONS, f1
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -262,6 +263,28 @@ class TestRun:
                               "--out", str(tmp_path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "grid_equispaced" in err
+
+    def test_nan_in_an_interior_grid_block_is_a_clean_error(self, capsys, tmp_path,
+                                                          monkeypatch):
+        # f2 is NaN at one grid point of the middle of three row blocks and
+        # finite everywhere else: a running maximum that drops NaN, like >
+        # or np.fmax, would write both tables
+        cfg = tmp_path / "fig2.cfg"
+        cfg.write_text("experiment = fig2\nl_values = [4]\nn_values = [8]\n"
+                       "noise_kind = none\ngrid_equispaced = 40001\n"
+                       "grid_chebyshev = 101\n", encoding="utf-8")
+        grid = default_uniform_grid(40001, 101)
+        rows = regularized_fit._BLOCK_ENTRIES // (1 + regularized_fit._DEGREE_CHUNK)
+        index = rows + rows // 2
+        assert 2 * rows < grid.size <= 3 * rows
+        f2 = FUNCTIONS["f2"]
+        monkeypatch.setitem(experiments.FUNCTIONS, "f2",
+                            lambda x: np.where(x == grid[index], np.nan, f2(x)))
+        out = tmp_path / "out"
+        code, stdout, err = _run(capsys, "run", "--config", str(cfg), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "errors must be >= 0, got (nan, " in err
+        assert not out.exists()
 
     def test_custom_from_flags(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "run", "--experiment", "custom", "--L", "4",

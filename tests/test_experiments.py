@@ -14,7 +14,7 @@ from tikbary.barycentric import (
 from tikbary.basis import BasisSpec
 from tikbary.configfile import parse_config_text, read_config
 from tikbary.csvio import format_value, read_table
-from tikbary import experiments, metrics
+from tikbary import experiments, metrics, regularized_fit
 from tikbary.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -551,6 +551,34 @@ class TestLambdaAsAScalar:
         # the 41-point fitting rule, which also measures the L2 error at
         # L = 10, then 2L+2 points at L = 20 and 30, for f1 and f2 alike
         assert points == [41, 42, 62]
+
+    def test_one_grid_pass_per_table(self, tmp_path, monkeypatch):
+        # the basis recurrence sweeps the grid, in blocks, once per table:
+        # doubling the cells or the lambdas adds no sweep
+        base = desk_config("fig2", out_dir=str(tmp_path))
+        grid_size = default_uniform_grid(base.grid_equispaced, base.grid_chebyshev).size
+        original = regularized_fit._orthonormal_rows
+
+        def grid_sweeps(cfg):
+            sizes = []
+
+            def counted(spec, l_max, x, out=None):
+                sizes.append(x.size)
+                return original(spec, l_max, x, out)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(regularized_fit, "_orthonormal_rows", counted)
+                run(cfg)
+            # rules have at most max(N) + 1 points, the grid blocks more
+            blocks = [n for n in sizes if n > max(cfg.n_values) + 1]
+            assert sum(blocks) == 2 * grid_size  # f1 and f2 cover it once each
+            return len(blocks)
+
+        doubled = replace(base, n_values=tuple(range(100, 411, 10)))
+        assert len(doubled.n_values) == 2 * len(base.n_values)
+        longer = replace(base, lambdas=(0.0, 0.1, LAMBDA_STAR, 1.0))
+        assert len(base.lambdas) == 2
+        assert grid_sweeps(base) == grid_sweeps(doubled) == grid_sweeps(longer) == 2
 
     def test_nan_error_is_rejected_before_writing(self, tmp_path, monkeypatch):
         # finite at the nodes, so the fit succeeds, but NaN at the grid's

@@ -12,8 +12,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from oracles import normal_equations_oracle
+from oracles import normal_equations_oracle, per_column_values_oracle
 from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
 from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
@@ -139,6 +141,115 @@ class TestEvaluate:
         assert evaluate(approx, 0.3) == evaluate(approx, np.array([0.3]))[0]
         assert callable(approx)
         assert approx(0.3) == evaluate(approx, 0.3)
+
+
+# Jacobi exponents in (-1, 5]
+_EXPONENTS = st.floats(min_value=-1.0, max_value=5.0, exclude_min=True)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _block_rows(k):
+    """Rows per block of _blocked_values for k columns."""
+    return regularized_fit._BLOCK_ENTRIES // (k + regularized_fit._DEGREE_CHUNK)
+
+
+def _term_scale(spec, coefficients, x):
+    """Per column, max over x of sum_l |beta_l p_l(x)|: the size of the terms
+    a sum of the column's values adds, so rounding scales with it."""
+    rows = eval_orthonormal(spec, coefficients.shape[0] - 1, x)
+    return np.max(np.abs(coefficients).T @ np.abs(rows), axis=1)
+
+
+def _assert_columns_close(spec, coefficients, x, got, want, scale=1.0):
+    """Each column of got within 1e-13 of want, relative to the column's
+    _term_scale times scale.  The terms' sum cancels: with uniform(-1, 1)
+    coefficients at L = 300 and exponents near 5, the blocked and the
+    per-column sums differed by up to 9.4e-14 of max |p| but never by more
+    than 3e-16 of this scale."""
+    bound = 1e-13 * scale * _term_scale(spec, coefficients, x)
+    assert got.shape == want.shape
+    assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+
+
+class TestBlockedValues:
+    """regularized_fit._blocked_values against the degree-by-degree sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=_EXPONENTS, b=_EXPONENTS, L=st.integers(0, 300), k=st.integers(1, 12),
+           n=st.integers(1, 200), ends=st.booleans(), seed=_SEEDS)
+    def test_matches_the_per_column_sum(self, a, b, L, k, n, ends, seed):
+        spec = BasisSpec(a, b)
+        rng = _rng(seed)
+        coefficients = rng.uniform(-1.0, 1.0, (L + 1, k))
+        x = rng.uniform(-1.0, 1.0, n)
+        if ends:  # where the basis is largest
+            x[:2] = (-1.0, 1.0)[:n]
+        got = regularized_fit._values(spec, coefficients, x)
+        _assert_columns_close(spec, coefficients, x, got,
+                              per_column_values_oracle(spec, coefficients, x))
+
+    @pytest.mark.parametrize("terms", [15, 16, 17])
+    @pytest.mark.parametrize("size", ["one", "rows - 1", "rows", "rows + 1"])
+    @settings(max_examples=4, deadline=None)
+    @given(a=_EXPONENTS, b=_EXPONENTS, k=st.integers(1, 12), seed=_SEEDS)
+    def test_chunk_and_block_edges(self, terms, size, a, b, k, seed):
+        # L + 1 on either side of one degree chunk, |x| on either side of
+        # one row block
+        spec = BasisSpec(a, b)
+        rows = _block_rows(k)
+        n = {"one": 1, "rows - 1": rows - 1, "rows": rows, "rows + 1": rows + 1}[size]
+        rng = _rng(seed)
+        coefficients = rng.uniform(-1.0, 1.0, (terms, k))
+        x = rng.uniform(-1.0, 1.0, n)
+        blocks = list(regularized_fit._blocked_values(spec, coefficients, x))
+        assert [start for start, _ in blocks] == list(range(0, n, rows))
+        got = np.concatenate([values for _, values in blocks], axis=1)
+        _assert_columns_close(spec, coefficients, x, got,
+                              per_column_values_oracle(spec, coefficients, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_EXPONENTS, b=_EXPONENTS,
+           degrees=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+           n=st.integers(1, 200), seed=_SEEDS)
+    def test_zero_padded_column_is_the_column_alone(self, a, b, degrees, n, seed):
+        # the partial-sum identity: padding a degree-L column with zeros to
+        # the matrix's degree leaves its values those of the degree-L sum
+        spec = BasisSpec(a, b)
+        rng = _rng(seed)
+        coefficients = np.zeros((max(degrees) + 1, len(degrees)))
+        for c, L in enumerate(degrees):
+            coefficients[:L + 1, c] = rng.uniform(-1.0, 1.0, L + 1)
+        x = rng.uniform(-1.0, 1.0, n)
+        got = regularized_fit._values(spec, coefficients, x)
+        alone = np.array([evaluate(RegularizedApproximant(spec, L, 0.0,
+                                                          coefficients[:L + 1, c]), x)
+                          for c, L in enumerate(degrees)])
+        _assert_columns_close(spec, coefficients, x, got, alone)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=_EXPONENTS, b=_EXPONENTS, L=st.integers(0, 300), extra=st.integers(0, 40),
+           lam=st.floats(min_value=0.0, max_value=10.0), seed=_SEEDS)
+    def test_values_shrink_by_one_plus_lambda(self, a, b, L, extra, lam, seed):
+        spec = BasisSpec(a, b)
+        try:
+            rule = gauss_rule(spec, L + extra + 1)
+        except ValueError:
+            # exponents very near -1 put the outermost node nearer to +-1
+            # than a double can hold, and no rule exists
+            reject()
+        rng = _rng(seed)
+        samples = rng.uniform(-1.0, 1.0, len(rule))
+        x = rng.uniform(-1.0, 1.0, 100)
+        plain = fit(rule, L, 0.0, samples)
+        shrunk = evaluate(fit(rule, L, lam, samples), x)
+        _assert_columns_close(spec, plain.coefficients[:, None], x, shrunk[None],
+                              evaluate(plain, x)[None] / (1.0 + lam), 1.0 / (1.0 + lam))
+
+    def test_empty_points_give_one_empty_block(self):
+        blocks = list(regularized_fit._blocked_values(LEG, np.ones((3, 2)), np.empty(0)))
+        assert len(blocks) == 1 and blocks[0][0] == 0
+        assert blocks[0][1].shape == (2, 0)
+        assert evaluate(_random_polynomial(LEG, 4, 9), np.empty((0, 3))).shape == (0, 3)
 
 
 class TestValidation:
