@@ -82,10 +82,11 @@ def weights_gauss(rule: QuadratureRule) -> np.ndarray:
     """Weights from the quadrature relation W_j proportional to w_j p_N(x_j).
 
     One recurrence sweep over the N+1 nodes, O(N^2) operations like the
-    product formula but holding only two rows of p_l(x_j), never the
-    (N+1) x (N+1) table.  The output shares only a common scalar factor with
-    weights_product, which is all the quotient form needs; the modified
-    Lagrange form re-anchors the scale itself.
+    product formula but holding only the three-row ring of
+    basis._orthonormal_rows, never the (N+1) x (N+1) table.  The output
+    shares only a common scalar factor with weights_product, which is all
+    the quotient form needs; the modified Lagrange form re-anchors the scale
+    itself.
     """
     for phi_n in _orthonormal_rows(rule.spec, rule.degree, rule.nodes):
         pass

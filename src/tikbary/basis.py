@@ -140,27 +140,27 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
 def _orthonormal_rows(spec: BasisSpec, l_max: int, x: np.ndarray, out=None):
     """Yield p_0(x), ..., p_l_max(x) from the normalized recurrence.
 
-    The one copy that eval_orthonormal, fit, evaluate and weights_gauss
-    iterate.  Holds two rows at a time, so a caller that needs only the last
-    one never builds the (l_max+1) x |x| table.  Each row is a new array,
-    unless out, an (m, |x|) array, is given: row l is then computed in
-    out[l % m] and yielded as that view, so the caller must use it before m
-    more rows are drawn; m >= 3 unless m > l_max.  Either way the bits are
-    those of the expression ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}).
+    The one copy of the recurrence in the package: eval_orthonormal, fit,
+    evaluate, weights_gauss and the Gauss rules all iterate it.  Row l is
+    computed in out[l % m, ...], out being an (m,) + x.shape array, and
+    yielded as that view, so the caller must use it before m more rows are
+    drawn; m >= 3 unless m > l_max.  With no out a 3-row ring is allocated,
+    so a caller that needs only the last rows never builds the
+    (l_max+1) x |x| table.  The bits are those of the expression
+    ((x - a_k) p_k - sqrt(b_k) p_{k-1}) / sqrt(b_{k+1}).
     """
     table = recurrence_coefficients(spec, l_max + 2)
     sqb = np.sqrt(table.b)
-
-    def new_row(l):
-        return np.empty_like(x) if out is None else out[l % len(out)]
-
+    if out is None:
+        out = np.empty((3,) + x.shape)
+    m = len(out)
     p_prev = np.zeros_like(x)
-    p_curr = new_row(0)
+    p_curr = out[0, ...]
     p_curr.fill(1.0 / sqb[0])
     yield p_curr
     scratch = np.empty_like(x)
     for k in range(l_max):
-        p_next = new_row(k + 1)
+        p_next = out[(k + 1) % m, ...]
         np.subtract(x, table.a[k], out=scratch)
         scratch *= p_curr
         np.multiply(sqb[k], p_prev, out=p_next)
@@ -182,6 +182,6 @@ def eval_orthonormal(spec: BasisSpec, l_max: int, x) -> np.ndarray:
         raise ValueError("l_max must be >= 0")
     x = np.asarray(x, dtype=float)
     out = np.empty((l_max + 1,) + x.shape)
-    for l, row in enumerate(_orthonormal_rows(spec, l_max, x)):
-        out[l] = row
+    for _ in _orthonormal_rows(spec, l_max, x, out=out):
+        pass
     return out

@@ -243,10 +243,10 @@ def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
     with the same N share one Gauss rule, and each (N, L) one L2 rule, for
     every function.  For each function, metrics._fit_cells fits every
     cell's sample vector once at lambda = 0 and scores the whole table in
-    one blocked GEMM pass over the grid: chunks of 16 basis rows, in row
-    blocks of at most 2^18 doubles of values and chunk together, so the last
-    bits depend on the BLAS kernel and reruns on one machine are bitwise
-    equal.  Reports follow the order of cells, then of config.lambdas.
+    one blocked GEMM pass over the grid (regularized_fit._blocked_values),
+    so the last bits depend on the BLAS kernel and reruns on one machine
+    are bitwise equal.  Reports follow the order of cells, then of
+    config.lambdas.
     """
     spec = BasisSpec.from_name(config.basis)
     grid = _grid(config)

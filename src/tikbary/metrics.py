@@ -201,11 +201,10 @@ def lambda_sweep(
     """Measure both errors, against the clean f, of the fit at every lambda
     to a single shared noise draw.  The samples are fitted once, at lambda =
     0, and evaluated by one blocked GEMM pass over the grid and one call at
-    the L2 rule's nodes (_fit_cells): 16 basis rows per GEMM, in row blocks
-    of at most 2^18 doubles, so the last bits depend on the BLAS kernel and
-    reruns on one machine are bitwise equal.  The fit at lambda is that
-    output times 1/(1+lambda).  best_lambda holds the argmin lambda under
-    each metric."""
+    the L2 rule's nodes (_fit_cells, through regularized_fit._blocked_values),
+    so the last bits depend on the BLAS kernel and reruns on one machine are
+    bitwise equal.  The fit at lambda is that output times 1/(1+lambda).
+    best_lambda holds the argmin lambda under each metric."""
     lambdas = [float(v) for v in np.atleast_1d(lambdas)]
     if not lambdas:
         raise ValueError("need at least one lambda")

@@ -1,14 +1,15 @@
 """Gauss quadrature rules for Jacobi weights.
 
-Nodes are the zeros of the degree-(N+1) orthonormal polynomial p_{N+1}.
+Nodes are the zeros of the degree-n orthonormal polynomial p_n, n = N+1.
 LAPACK finds them as the eigenvalues of the symmetric tridiagonal Jacobi
-matrix (Golub & Welsch, 1969), and one Newton step on p_{N+1}, evaluated by
-the three-term recurrence, polishes them (as in Hale & Townsend, SIAM J.
-Sci. Comput. 35, 2013).  The weights are the Christoffel numbers
-1 / sum_{l<=N} p_l(x_j)^2 at the polished nodes.  The same recurrence sweep
-gives p_{N+1}, its derivative and that sum, three rows at a time, so no
-(N+1)^2 table is built.  Chebyshev first kind short-circuits to the
-closed-form rule.
+matrix (Golub & Welsch, 1969), and one Newton step on p_n polishes them (as
+in Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The weights are the
+Christoffel numbers 1 / sum_{l<n} p_l(x_j)^2 at the polished nodes.  Both
+come from sweeps of basis._orthonormal_rows, which hold three rows at a
+time, so no n x n table is built: a sweep gives p_n, p_{n-1} and that sum,
+and at a zero of p_n the Christoffel-Darboux formula turns them into the
+derivative p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}).  Chebyshev first
+kind short-circuits to the closed-form rule.
 """
 
 import math
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec, eval_orthonormal, recurrence_coefficients
+from .basis import (BasisSpec, _orthonormal_rows, eval_orthonormal,
+                    recurrence_coefficients)
 
 __all__ = ["QuadratureRule", "gauss_rule", "exactness_residual"]
 
@@ -79,15 +81,32 @@ def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
 def _gauss_rule_recurrence(spec: BasisSpec, points: int) -> QuadratureRule:
     """Generic path, valid for any spec: LAPACK nodes, Newton-polished.
 
-    The Christoffel numbers are written V / sum_{l<points} (sqrt(V) p_l)^2,
-    so that a one-point rule gets the mass V exactly.
+    The weights 1 / sum_{l<points} p_l^2 start from p_0 = 1/sqrt(V), so even
+    a one-point rule gets the mass V only to rounding: 1 ulp off for
+    Legendre's V = 2.  An outermost node that rounds to -1 or 1, as happens
+    for some exponents near -1, raises a ValueError that names the spec and
+    the point count.
     """
     table = recurrence_coefficients(spec, points + 1)
     nodes = scipy.linalg.eigvalsh_tridiagonal(table.a[:points], np.sqrt(table.b[1:points]))
-    p, dp, _ = _recurrence_pass(table, points, nodes)
-    nodes = nodes - p / dp
-    _, _, sum_sq = _recurrence_pass(table, points, nodes)
-    return QuadratureRule(spec=spec, nodes=nodes, weights=table.b[0] / sum_sq)
+    p_n, p_prev, sum_sq = _sweep(spec, nodes)
+    # Newton step with p_n' = sum_sq / (sqrt(b_n) p_{n-1}), its value at a zero
+    nodes = nodes - p_n * math.sqrt(table.b[points]) * p_prev / sum_sq
+    if np.max(np.abs(nodes)) >= 1.0:
+        raise ValueError(f"the {points}-point {spec.name} rule has an outermost "
+                         "node that rounds to -1 or 1 in double precision")
+    weights = 1.0 / _sweep(spec, nodes)[2]
+    return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
+
+
+def _sweep(spec: BasisSpec, x):
+    """p_n(x), p_{n-1}(x) and sum_{l<n} p_l(x)^2 at the n = |x| points x."""
+    sum_sq = np.zeros_like(x)
+    for l, p in enumerate(_orthonormal_rows(spec, x.size, x)):
+        if l < x.size:
+            sum_sq += p * p
+            p_prev = p
+    return p, p_prev, sum_sq
 
 
 def exactness_residual(rule: QuadratureRule, degree: int) -> float:
@@ -102,24 +121,3 @@ def exactness_residual(rule: QuadratureRule, degree: int) -> float:
     sums = values @ rule.weights
     sums[0] -= math.sqrt(rule.mass)
     return float(np.max(np.abs(sums)))
-
-
-def _recurrence_pass(table, n: int, x):
-    """sqrt(V) times p_n(x) and p_n'(x), and sum_{l<n} (sqrt(V) p_l(x))^2.
-
-    One sweep of the orthonormal recurrence started from sqrt(V) p_0 = 1,
-    holding three rows at a time, so memory is O(x.size) whatever n is.
-    """
-    sqb = np.sqrt(table.b)
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    dp_prev = np.zeros_like(x)
-    dp = np.zeros_like(x)
-    sum_sq = np.zeros_like(x)
-    for k in range(n):
-        sum_sq += p * p
-        p_next = ((x - table.a[k]) * p - sqb[k] * p_prev) / sqb[k + 1]
-        dp_next = (p + (x - table.a[k]) * dp - sqb[k] * dp_prev) / sqb[k + 1]
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p, dp, sum_sq

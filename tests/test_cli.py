@@ -56,6 +56,16 @@ class TestQuadratureDump:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_node_on_an_endpoint_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "rule.csv"
+        code, out, err = _run(
+            capsys, "quadrature-dump", "--points", "222", "--basis",
+            "jacobi(-0.9999999998476579,-0.9999999990810643)", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: the 222-point jacobi(")
+        assert "rounds to -1 or 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_point_count_is_a_clean_error(self, capsys):
         code, _, err = _run(capsys, "quadrature-dump", "--points", "0")
         assert code == 2 and "error:" in err

@@ -94,6 +94,22 @@ class TestAgainstOracles:
         assert np.max(np.abs(rule.nodes - x[order])) <= 5e-16
         assert np.max(np.abs(rule.weights / w[order] - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (20.0, -0.9)])
+    @pytest.mark.parametrize("pts", [5, 40])
+    def test_one_newton_step_from_shifted_nodes(self, monkeypatch, a, b, pts):
+        # LAPACK's nodes are already within an ulp, which hides a wrong
+        # derivative in the Newton step, so start it 1e-10 off the 40-digit
+        # nodes.  A right step squares that error times a constant that
+        # grows near the ends (from 1e-8 off it lands 2.7e-11 away at 40
+        # points of jacobi(20,-0.9)), and here lands within 1e-14
+        with mpmath.workdps(40):
+            x = mpmath.gauss_quadrature(pts, "jacobi", a, b)[0]
+            x = np.sort([float(v) for v in x])
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
+                            lambda d, e: x + 1e-10)
+        rule = gauss_rule(BasisSpec(a, b), pts)
+        assert np.max(np.abs(rule.nodes - x)) < 1e-14
+
     def test_matches_numpy_leggauss(self):
         x, w = npleg.leggauss(64)
         rule = gauss_rule(LEG, 64)
@@ -202,6 +218,13 @@ class TestValidation:
     def test_point_count_must_be_positive(self):
         with pytest.raises(ValueError):
             gauss_rule(LEG, 0)
+
+    def test_node_rounding_to_an_endpoint_names_the_rule(self):
+        spec = BasisSpec(-0.9999999998476579, -0.9999999990810643)
+        with pytest.raises(ValueError, match=r"the 222-point jacobi\(-0\.9999999998476579,"
+                           r"-0\.9999999990810643\) rule has an outermost node "
+                           r"that rounds to -1 or 1 in double precision"):
+            gauss_rule(spec, 222)
 
     def test_constructor_rejects_bad_data(self):
         w = np.array([1.0, 1.0])

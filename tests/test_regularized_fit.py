@@ -233,9 +233,11 @@ class TestBlockedValues:
         spec = BasisSpec(a, b)
         try:
             rule = gauss_rule(spec, L + extra + 1)
-        except ValueError:
+        except ValueError as err:
             # exponents very near -1 put the outermost node nearer to +-1
             # than a double can hold, and no rule exists
+            if "rounds to -1 or 1" not in str(err):
+                raise
             reject()
         rng = _rng(seed)
         samples = rng.uniform(-1.0, 1.0, len(rule))
