@@ -86,7 +86,9 @@ def weights_gauss(rule: QuadratureRule) -> np.ndarray:
     basis._orthonormal_rows, never the (N+1) x (N+1) table.  The output
     shares only a common scalar factor with weights_product, which is all
     the quotient form needs; the modified Lagrange form re-anchors the scale
-    itself.
+    itself.  For Chebyshev first kind the sweep takes the two-pass step
+    T_{k+1} = 2x T_k - T_{k-1} from k = 2 on (second kind from k = 1),
+    which gives the bits of the general step at the nodes.
     """
     for phi_n in _orthonormal_rows(rule.spec, rule.degree, rule.nodes):
         pass
@@ -200,9 +202,20 @@ def _node_polynomial(diffs: np.ndarray, log_c: float, sign_c: float) -> np.ndarr
     """
     if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
         return np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
-    log_poly = np.sum(np.log(np.abs(diffs)), axis=1)
     sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
-    return sign_poly * sign_c * np.exp(log_poly + log_c)
+    return sign_poly * sign_c * _node_polynomial_magnitude(diffs, log_c)
+
+
+def _node_polynomial_magnitude(diffs: np.ndarray, log_c: float) -> np.ndarray:
+    """|l(x)| exp(log_c) for the rows of a difference table, without the sign.
+
+    Bitwise the absolute value of _node_polynomial, since a sign flip is
+    exact, but past _DIRECT_PRODUCT_LIMIT nodes it skips the comparison
+    table and row sum that count the negative factors.
+    """
+    if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
+        return np.abs(np.prod(diffs, axis=1)) * np.exp(log_c)
+    return np.exp(np.sum(np.log(np.abs(diffs)), axis=1) + log_c)
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
@@ -287,11 +300,11 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     """
     nodes = rule.nodes
     weights = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
-    log_c, sign_c = _product_scale_anchor(nodes, weights)
+    log_c, _ = _product_scale_anchor(nodes, weights)
     hit_rows, _ = _node_hits(nodes, x)
     out = np.ones(x.size)
     for rows, diffs in _difference_blocks(nodes, x, hit_rows):
-        node_poly = _node_polynomial(diffs, log_c, sign_c)
+        node_poly = _node_polynomial_magnitude(diffs, log_c)
         terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
-        out[rows] = np.abs(node_poly) * terms.sum(axis=1)
+        out[rows] = node_poly * terms.sum(axis=1)
     return out

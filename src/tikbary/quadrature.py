@@ -9,7 +9,11 @@ come from sweeps of basis._orthonormal_rows, which hold three rows at a
 time, so no n x n table is built: a sweep gives p_n, p_{n-1} and that sum,
 and at a zero of p_n the Christoffel-Darboux formula turns them into the
 derivative p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}).  Chebyshev first
-kind short-circuits to the closed-form rule.
+kind short-circuits to the closed-form rule.  Of the specs that reach the
+sweeps, only Chebyshev second kind, jacobi(0.5,0.5), takes the
+recurrence's two-pass step (x/s) p_k - p_{k-1}, from k = 1 on;
+exactness_residual also takes it for Chebyshev first kind from k = 2 on.
+Either way the bits are those of the general step.
 """
 
 import math
@@ -41,6 +45,9 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be equal-length 1-d arrays")
+        # NaN fails every comparison below, so it must be caught here
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("nodes and weights must be finite")
         if np.any(nodes <= -1.0) or np.any(nodes >= 1.0):
             raise ValueError("nodes must lie strictly inside (-1,1)")
         if nodes.size > 1 and np.min(np.diff(nodes)) < _NODE_GAP_FLOOR:

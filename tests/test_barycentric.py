@@ -208,6 +208,17 @@ class TestFormulas:
                 b = form(plain, x) / (1.0 + lam)
                 assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
 
+    @pytest.mark.parametrize("pts", [21, 801])  # direct product; log space
+    def test_node_polynomial_magnitude_is_its_absolute_value(self, pts):
+        # the Lebesgue function's unsigned node polynomial keeps the bits
+        nodes = gauss_rule(CHEB, pts).nodes
+        x = np.concatenate([[-1.0, 1.0], _rng(8).uniform(-1.0, 1.0, 300)])
+        diffs = x[:, None] - nodes
+        for log_c, sign_c in ((0.0, 1.0), (-3.7, -1.0), (41.5, 1.0)):
+            np.testing.assert_array_equal(
+                barycentric._node_polynomial_magnitude(diffs, log_c),
+                np.abs(barycentric._node_polynomial(diffs, log_c, sign_c)))
+
 
 class TestNodeSemantics:
     def test_exact_node_hit(self):

@@ -13,6 +13,8 @@ import numpy.polynomial.polynomial as npp
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import cd_kernel, cd_kernel_quotient, norm_ratio
 from tikbary.basis import (
@@ -22,10 +24,29 @@ from tikbary.basis import (
     eval_orthonormal,
     recurrence_coefficients,
 )
+from tikbary.quadrature import gauss_rule
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
 JAC = BasisSpec(0.3, -0.25)
+CHEB2 = BasisSpec(0.5, 0.5)  # second kind: the two-pass step starts at k = 1
+
+
+def _recurrence_expression(spec, l_max, x):
+    """Yield rows 0..l_max of the recurrence as its one-line expression."""
+    table = recurrence_coefficients(spec, l_max + 2)
+    sqb = np.sqrt(table.b)
+    p_prev, p_curr = np.zeros_like(x), np.full_like(x, 1.0 / sqb[0])
+    yield p_curr
+    for k in range(l_max):
+        p_prev, p_curr = p_curr, ((x - table.a[k]) * p_curr - sqb[k] * p_prev) / sqb[k + 1]
+        yield p_curr
+
+
+def _assert_bitwise(got, want):
+    # bit patterns, so that -0.0 and 0.0 count as different
+    np.testing.assert_array_equal(np.array(got).view(np.int64),
+                                  np.array(want).view(np.int64))
 
 
 def _weighted_integral(spec, fn):
@@ -222,19 +243,43 @@ class TestEvalOrthonormal:
         v = eval_orthonormal(LEG, 3, np.zeros((2, 5)))
         assert v.shape == (4, 2, 5)
 
-    @pytest.mark.parametrize("spec", [CHEB, LEG, JAC], ids=["cheb", "leg", "jac"])
+    @pytest.mark.parametrize("spec", [CHEB, LEG, JAC, CHEB2],
+                             ids=["cheb", "leg", "jac", "cheb2"])
     def test_rows_are_bitwise_the_recurrence_expression(self, spec):
         # fresh rows, and rows computed in place in a ring of 3 or 16, are
-        # all bitwise the one-line expression of the recurrence
-        x = np.linspace(-1.0, 1.0, 301)
-        table = recurrence_coefficients(spec, 42)
-        sqb = np.sqrt(table.b)
-        want = [np.zeros_like(x), np.full_like(x, 1.0 / sqb[0])]
-        for k in range(40):
-            want.append(((x - table.a[k]) * want[-1] - sqb[k] * want[-2]) / sqb[k + 1])
-        for out in (None, np.empty((3, x.size)), np.empty((16, x.size))):
-            got = [row.copy() for row in _orthonormal_rows(spec, 40, x, out=out)]
-            np.testing.assert_array_equal(got, want[1:])
+        # all bitwise the one-line expression of the recurrence, also where
+        # Chebyshev first and second kind take the two-pass step
+        ends_and_nodes = np.concatenate([[-1.0, -0.0, 0.0, 1.0],
+                                         gauss_rule(CHEB, 301).nodes])
+        for l_max, x in ((40, np.linspace(-1.0, 1.0, 301)), (300, ends_and_nodes)):
+            want = list(_recurrence_expression(spec, l_max, x))
+            for out in (None, np.empty((3, x.size)), np.empty((16, x.size))):
+                got = [row.copy() for row in _orthonormal_rows(spec, l_max, x, out=out)]
+                _assert_bitwise(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([CHEB, CHEB2]), l_max=st.integers(0, 400),
+           x=st.lists(st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 2.0**-1020),
+                      min_size=1, max_size=50))
+    def test_two_pass_step_is_bitwise_the_expression(self, spec, l_max, x):
+        # the domain _orthonormal_rows states for the two-pass step: x = 0 or
+        # |x| >= 2^-1020 in [-1, 1]
+        x = np.array(x)
+        got = [row.copy() for row in _orthonormal_rows(spec, l_max, x)]
+        _assert_bitwise(got, list(_recurrence_expression(spec, l_max, x)))
+
+    def test_long_steps_between_two_pass_steps(self):
+        # from k = 131072 on, the second kind's b_k rounds away from 1/4 at
+        # some k, so long steps interleave with two-pass steps there, and
+        # every two-pass step after a long one must scale x afresh
+        table = recurrence_coefficients(CHEB2, 131102)
+        assert not np.all(table.b[131072:] == 0.25)
+        x = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+        rows = zip(_orthonormal_rows(CHEB2, 131100, x),
+                   _recurrence_expression(CHEB2, 131100, x))
+        for l, (got, want) in enumerate(rows):
+            if l >= 131000:
+                _assert_bitwise(got, want)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -240,3 +240,14 @@ class TestValidation:
             QuadratureRule(LEG, np.array([-0.1, 0.1]), np.array([1.0]))
         with pytest.raises(ValueError):
             QuadratureRule(LEG, np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("nodes, weights", [
+        ([math.nan, math.nan], [math.nan, 1.0]),
+        ([-0.1, math.nan], [1.0, 1.0]),
+        ([-0.1, 0.1], [math.nan, 1.0]),
+        ([-0.1, 0.1], [1.0, math.inf]),
+    ], ids=["all-nan", "nan-node", "nan-weight", "inf-weight"])
+    def test_constructor_rejects_non_finite(self, nodes, weights):
+        # NaN fails every ordering and sign comparison, so it needs its own check
+        with pytest.raises(ValueError, match="must be finite"):
+            QuadratureRule(LEG, np.array(nodes), np.array(weights))
