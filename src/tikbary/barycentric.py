@@ -28,6 +28,9 @@ NumPy is linked against, as the coefficients of regularized_fit.fit
 
 The Lebesgue function of interpolation in Gauss points, sum_j |l_j(x)|,
 uses the same difference blocks and node polynomial in first-kind form.
+
+One rule gives every sign: the nodes are finite and strictly increasing,
+as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
 """
 
 from dataclasses import dataclass
@@ -66,6 +69,8 @@ def weights_product(nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("need at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes must be finite")
     diffs = nodes[:, None] - nodes[None, :]
     off = ~np.eye(nodes.size, dtype=bool)
     if np.any(diffs[off] == 0.0):
@@ -120,11 +125,14 @@ class BarycentricData:
         if values.ndim not in (1, 2) or values.shape[0] != nodes.size:
             raise ValueError(
                 "values must have shape (N+1,) or (N+1, k), aligned with nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(weights == 0.0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be nonzero and finite")
-        if np.any(weights[:-1] * weights[1:] >= 0.0):
+        # sign bits, not products: neighbours near 1e-170 would underflow
+        if np.any(np.signbit(weights[:-1]) == np.signbit(weights[1:])):
             raise ValueError("weights must strictly alternate in sign")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
@@ -140,16 +148,15 @@ class BarycentricData:
 def _product_scale_anchor(nodes: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """Log-magnitude and sign of the factor mapping stored weights to product scale.
 
-    Computed at the index of largest stored weight: the true product-formula
-    weight there, divided by the stored one.
+    Computed at the index j of largest stored weight: the true product-formula
+    weight there, over the stored one.  For finite, strictly increasing nodes
+    the true weight has sign (-1)^(N - j), one flip per node above x_j.
     """
     j = int(np.argmax(np.abs(weights)))
-    diffs = nodes[j] - nodes
-    diffs = np.delete(diffs, j)
+    diffs = np.delete(nodes[j] - nodes, j)
     log_true = -np.sum(np.log(np.abs(diffs)))
-    sign_true = -1.0 if (np.sum(diffs < 0.0) % 2) else 1.0
-    stored = weights[j]
-    return log_true - np.log(abs(stored)), sign_true * np.sign(stored)
+    sign_true = -1.0 if (nodes.size - 1 - j) % 2 else 1.0
+    return log_true - np.log(abs(weights[j])), sign_true * np.sign(weights[j])
 
 
 def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,25 +200,13 @@ def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray):
             yield rows, np.subtract(points[:, None], nodes, out=work[: points.size])
 
 
-def _node_polynomial(diffs: np.ndarray, log_c: float, sign_c: float) -> np.ndarray:
-    """Row products l(x) = prod_j (x - x_j) of a difference table, times sign_c exp(log_c).
+def _node_polynomial(diffs: np.ndarray, log_c: float) -> np.ndarray:
+    """|l(x)| exp(log_c), l(x) = prod_j (x - x_j), for the rows of a difference table.
 
-    Up to _DIRECT_PRODUCT_LIMIT nodes the product is formed directly.  Past
-    that it is carried as log-magnitude plus sign and meets the scale anchor
-    in log space, so neither factor leaves double range on its own.
-    """
-    if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
-        return np.prod(diffs, axis=1) * (sign_c * np.exp(log_c))
-    sign_poly = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
-    return sign_poly * sign_c * _node_polynomial_magnitude(diffs, log_c)
-
-
-def _node_polynomial_magnitude(diffs: np.ndarray, log_c: float) -> np.ndarray:
-    """|l(x)| exp(log_c) for the rows of a difference table, without the sign.
-
-    Bitwise the absolute value of _node_polynomial, since a sign flip is
-    exact, but past _DIRECT_PRODUCT_LIMIT nodes it skips the comparison
-    table and row sum that count the negative factors.
+    Up to _DIRECT_PRODUCT_LIMIT nodes the product is formed directly; past
+    that its log-magnitude meets the scale anchor in log space, so neither
+    factor leaves double range on its own.  For finite, strictly increasing
+    nodes callers sign it by (-1)^(number of nodes above x), an exact flip.
     """
     if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
         return np.abs(np.prod(diffs, axis=1)) * np.exp(log_c)
@@ -224,8 +219,8 @@ def interp_modified_lagrange(data: BarycentricData, x):
     A point that equals a node exactly returns f_j/(1+lambda); there is no
     epsilon ball, nearby points go through the formula, which is stable.
     The node polynomial and the scale anchor are carried in log space when
-    the node count is large.  Takes one sample vector; stacked values go
-    through interp_barycentric.
+    the node count is large; a binary search gives the sign.  Takes one
+    sample vector; stacked values go through interp_barycentric.
     """
     if data.values.ndim != 1:
         raise ValueError(
@@ -239,8 +234,10 @@ def interp_modified_lagrange(data: BarycentricData, x):
     hit_rows, hit_cols = _node_hits(data.nodes, xv)
     out = np.empty(xv.size)
     for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
+        above = len(data) - np.searchsorted(data.nodes, xv[rows])
+        sign = np.where(above % 2, -sign_c, sign_c)
         inner = (data.weights * data.values / diffs).sum(axis=1)
-        out[rows] = _node_polynomial(diffs, log_c, sign_c) * inner / shrink
+        out[rows] = sign * _node_polynomial(diffs, log_c) * inner / shrink
     out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
@@ -304,7 +301,7 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     hit_rows, _ = _node_hits(nodes, x)
     out = np.ones(x.size)
     for rows, diffs in _difference_blocks(nodes, x, hit_rows):
-        node_poly = _node_polynomial_magnitude(diffs, log_c)
+        node_poly = _node_polynomial(diffs, log_c)
         terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
         out[rows] = node_poly * terms.sum(axis=1)
     return out

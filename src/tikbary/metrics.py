@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, gauss_rule
-from .regularized_fit import (_blocked_values, _values, check_lambda,
+from .regularized_fit import (_blocked_values, _check_grid, _values, check_lambda,
                               continuum_limit_fit, evaluate, fit, lebesgue_constant)
 from .signals import NoiseSpec, add_noise
 
@@ -88,9 +88,7 @@ class ErrorReport:
 
 def uniform_error(f, approx, grid) -> float:
     """max |f(x) - approx(x)| over the grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    grid = _check_grid(grid)
     return float(np.max(np.abs(np.asarray(f(grid)) - np.asarray(approx(grid)))))
 
 
@@ -210,7 +208,7 @@ def lambda_sweep(
         raise ValueError("need at least one lambda")
     for lam in lambdas:
         check_lambda(lam)
-    grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float).ravel()
+    grid = default_uniform_grid() if grid is None else _check_grid(grid)
     reports = _fit_cells(f, np.asarray(f(grid), dtype=float),
                          [(rule, L, default_l2_rule(rule, L), noise)], lambdas, grid)
     return SweepResult(reports=tuple(reports), best_lambda=_best_lambda(reports))
@@ -239,7 +237,7 @@ def truncation_surrogates(spec, L: int, f, grid=None) -> Surrogates:
     The grid should contain every point later used on the left side of a
     bound check (including the fitting nodes) so the maxima dominate.
     """
-    grid = default_uniform_grid() if grid is None else np.asarray(grid, dtype=float)
+    grid = default_uniform_grid() if grid is None else _check_grid(grid)
     trunc = continuum_limit_fit(spec, L, 0.0, f)
     f_grid = np.asarray(f(grid), dtype=float)
     t_grid = evaluate(trunc, grid)

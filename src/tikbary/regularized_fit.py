@@ -57,6 +57,16 @@ def check_lambda(lam) -> None:
         raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
 
 
+def _check_grid(grid) -> np.ndarray:
+    """grid as a 1-d float array; ValueError if it is empty or not finite."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid entries must be finite")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class RegularizedApproximant:
     """Coefficient vector beta against the orthonormal basis of spec."""
@@ -218,13 +228,7 @@ def lebesgue_constant(
     if not 0 <= L <= rule.degree:
         raise ValueError(f"degree L must lie in 0..N = 0..{rule.degree}, got {L}")
     check_lambda(lam)
-    if grid is None:
-        grid = default_lebesgue_grid(rule)
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid entries must be finite")
+    grid = _check_grid(default_lebesgue_grid(rule) if grid is None else grid)
     if np.any(np.abs(grid) > 1.0):
         raise ValueError("grid entries must lie in [-1, 1]")
     if L == rule.degree:

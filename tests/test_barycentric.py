@@ -72,6 +72,12 @@ class TestWeightsProduct:
         with pytest.raises(ValueError):
             weights_product(np.array([0.1, 0.5, 0.1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_nodes(self, bad):
+        # [0.0, nan] used to return NaN weights
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            weights_product(np.array([0.0, bad]))
+
 
 class TestWeightsGauss:
     @pytest.mark.parametrize("spec", [CHEB, LEG], ids=["chebyshev1", "legendre"])
@@ -117,6 +123,36 @@ class TestDataValidation:
             BarycentricData(nodes, w, v, lam=-0.1)
         with pytest.raises(ValueError):
             BarycentricData(nodes, w[:2], v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_nodes(self, bad):
+        # a NaN node passes the strictly-increasing test, since every
+        # comparison with NaN is False, and turned every output into NaN
+        w = np.array([0.5, -1.0, 0.5])
+        for nodes in ([-0.5, bad, 0.5], [-0.5, 0.0, bad], [bad, 0.0, 0.5]):
+            with pytest.raises(ValueError, match="nodes must be finite"):
+                BarycentricData(np.array(nodes), w, np.ones(3))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_alternation_check_ignores_weight_scale(self, scale):
+        # neighbouring weights used to be multiplied: the products underflow
+        # to zero at 1e-170 (a false rejection) and overflow at 1e170
+        rule = gauss_rule(LEG, 15)
+        vals = f1(rule.nodes)
+        base = BarycentricData(rule.nodes, weights_gauss(rule), vals)
+        scaled = BarycentricData(rule.nodes, scale * weights_gauss(rule), vals)
+        x = _rng(6).uniform(-1.0, 1.0, 200)
+        for form in (interp_barycentric, interp_modified_lagrange):
+            np.testing.assert_allclose(form(scaled, x), form(base, x),
+                                       rtol=0.0, atol=1e-15)
+        # same-sign neighbours still raise at every scale: one pair at an
+        # end, or two around a flipped interior weight
+        for j in (0, 7, 14):
+            bad = scale * weights_gauss(rule)
+            bad[j] = -bad[j]
+            with pytest.raises(ValueError, match="alternate"):
+                BarycentricData(rule.nodes, bad, vals)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_lambda(self, lam):
@@ -208,16 +244,25 @@ class TestFormulas:
                 b = form(plain, x) / (1.0 + lam)
                 assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
 
-    @pytest.mark.parametrize("pts", [21, 801])  # direct product; log space
-    def test_node_polynomial_magnitude_is_its_absolute_value(self, pts):
-        # the Lebesgue function's unsigned node polynomial keeps the bits
-        nodes = gauss_rule(CHEB, pts).nodes
-        x = np.concatenate([[-1.0, 1.0], _rng(8).uniform(-1.0, 1.0, 300)])
-        diffs = x[:, None] - nodes
-        for log_c, sign_c in ((0.0, 1.0), (-3.7, -1.0), (41.5, 1.0)):
-            np.testing.assert_array_equal(
-                barycentric._node_polynomial_magnitude(diffs, log_c),
-                np.abs(barycentric._node_polynomial(diffs, log_c, sign_c)))
+    # 513 is the last node count with a direct product, 514 the first in
+    # log space; 1001 is fig3's largest at paper scale
+    @pytest.mark.parametrize("pts", [21, 513, 514, 801, 1001])
+    def test_modified_lagrange_sign_rule(self, pts):
+        # l(x) takes the sign (-1)^(nodes above x): on every gap midpoint,
+        # where that count steps through all of 0..N+1, and at +-1 the
+        # modified Lagrange form must keep the quotient form's sign and
+        # agree with it to the 600-node comparison's tolerance
+        rule = gauss_rule(CHEB, pts)
+        nodes = rule.nodes
+        vals = np.sin(10.0 * nodes + 0.3)
+        x = np.concatenate([[-1.0, 1.0], 0.5 * (nodes[:-1] + nodes[1:])])
+        a = interp_modified_lagrange(
+            BarycentricData(nodes, weights_product(nodes), vals, LAMBDA_STAR), x)
+        b = interp_barycentric(
+            BarycentricData(nodes, weights_gauss(rule), vals, LAMBDA_STAR), x)
+        assert np.min(np.abs(b)) > 1e-4  # no sign is decided by rounding
+        np.testing.assert_array_equal(np.sign(a), np.sign(b))
+        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 class TestNodeSemantics:

@@ -23,7 +23,7 @@ from tikbary.metrics import (
 )
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import (RegularizedApproximant, continuum_limit_fit,
-                                    evaluate, fit)
+                                    evaluate, fit, lebesgue_constant)
 from tikbary.signals import NoiseSpec, f1, make_generator
 
 CHEB = BasisSpec.chebyshev1()
@@ -210,6 +210,34 @@ class TestSurrogates:
         rule = gauss_rule(LEG, 33)
         approx = fit(rule, 16, 0.0, f1(rule.nodes))
         assert s.e_uniform > uniform_error(f1, approx, grid) / 4.0
+
+
+class TestGridValidation:
+    """Every public grid argument is checked once, with the same messages."""
+
+    CALLERS = {
+        "uniform_error": lambda grid: uniform_error(f1, f1, grid),
+        "lambda_sweep": lambda grid: lambda_sweep(gauss_rule(CHEB, 9), 5, f1, [0.0],
+                                                  grid=grid),
+        "truncation_surrogates": lambda grid: truncation_surrogates(CHEB, 5, f1,
+                                                                    grid=grid),
+        "lebesgue_constant": lambda grid: lebesgue_constant(gauss_rule(CHEB, 9), 5, 0.0,
+                                                            grid=grid),
+    }
+
+    # before the shared check, lambda_sweep died in a NumPy reduction on an
+    # empty grid and in ErrorReport on a NaN one, and truncation_surrogates
+    # returned NaN surrogates
+    @pytest.mark.parametrize("grid,message", [
+        ([], "grid must be nonempty"),
+        ([math.nan], "grid entries must be finite"),
+        ([0.0, math.inf], "grid entries must be finite"),
+        ([[-math.inf, 0.5]], "grid entries must be finite"),
+    ], ids=["empty", "nan", "inf", "2d-minus-inf"])
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    def test_bad_grid_rejected(self, caller, grid, message):
+        with pytest.raises(ValueError, match=message):
+            self.CALLERS[caller](np.array(grid, dtype=float))
 
 
 class TestStabilityBound:
