@@ -220,13 +220,16 @@ def interp_modified_lagrange(data: BarycentricData, x):
     epsilon ball, nearby points go through the formula, which is stable.
     The node polynomial and the scale anchor are carried in log space when
     the node count is large; a binary search gives the sign.  Takes one
-    sample vector; stacked values go through interp_barycentric.
+    sample vector; stacked values go through interp_barycentric.  x must
+    be finite.
     """
     if data.values.ndim != 1:
         raise ValueError(
             "interp_modified_lagrange takes one sample vector of shape (N+1,); "
             "use interp_barycentric for stacked values")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     scalar = x.ndim == 0
     xv = np.atleast_1d(x).ravel()
     shrink = 1.0 + data.lam
@@ -245,9 +248,9 @@ def interp_modified_lagrange(data: BarycentricData, x):
 def interp_barycentric(data: BarycentricData, x):
     """Evaluate the quotient form at x; scale of the weights is immaterial.
 
-    A point equal to a node returns f_j/(1+lambda).  For real distinct nodes
-    with alternating weights the denominator cannot vanish off the nodes; a
-    zero there means corrupted data and raises.
+    x must be finite.  A point equal to a node returns f_j/(1+lambda).  For
+    real distinct nodes with alternating weights the denominator cannot
+    vanish off the nodes; a zero there means corrupted data and raises.
 
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
     column c is bitwise the result for values[:, c] alone: every column's
@@ -256,6 +259,8 @@ def interp_barycentric(data: BarycentricData, x):
     of that vector and, in some kernels, on its alignment.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     xv = x.ravel()
     shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)

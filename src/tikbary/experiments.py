@@ -12,7 +12,7 @@ degree of the fitted polynomial; fitting requires L <= N.
 
 import math
 import os
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import groupby
 
 import numpy as np
@@ -55,12 +55,6 @@ __all__ = [
 EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep", "custom")
 
 _NOISE_KINDS = (None, "additive-white-snr", "multiplicative-uniform")
-
-_CONFIG_KEYS = (
-    "experiment", "basis", "fn", "seed", "out_dir", "l_values", "n_values",
-    "lambdas", "noise_kind", "snr_db", "noise_c", "grid_equispaced",
-    "grid_chebyshev",
-)
 
 
 def _whole(key: str, value) -> int:
@@ -147,6 +141,9 @@ class ExperimentConfig:
         return ExperimentConfig(**kwargs)
 
 
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def paper_config(experiment: str, out_dir: str = "results") -> ExperimentConfig:
     """Full-scale runs matching the published figures (minutes, not seconds)."""
     base = dict(experiment=experiment, out_dir=out_dir)
@@ -222,18 +219,13 @@ def _emit_reports(config, name, reports, plot_hints, extra_meta) -> list:
                  plot_hints, extra_meta)
 
 
-def _additive_noise(config, index) -> NoiseSpec:
-    return NoiseSpec("additive-white-snr", derive_seed(config.seed, index),
-                     snr_db=config.snr_db)
-
-
 def _noise_from_config(config: ExperimentConfig, index: int) -> NoiseSpec | None:
     if config.noise_kind is None:
         return None
+    seed = derive_seed(config.seed, index)
     if config.noise_kind == "additive-white-snr":
-        return _additive_noise(config, index)
-    return NoiseSpec("multiplicative-uniform", derive_seed(config.seed, index),
-                     c=config.noise_c)
+        return NoiseSpec("additive-white-snr", seed, snr_db=config.snr_db)
+    return NoiseSpec("multiplicative-uniform", seed, c=config.noise_c)
 
 
 def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
@@ -290,7 +282,7 @@ def run_fig2(config: ExperimentConfig) -> list:
 
 def run_fig3(config: ExperimentConfig) -> list:
     """Classical vs shrunk barycentric interpolation of f3 as N grows,
-    noise-free and noisy."""
+    noise-free and, unless noise_kind is none, noisy."""
     if config.l_values != config.n_values:
         raise ValueError(
             "fig3 interpolates at L = N: l_values must equal n_values (on the "
@@ -304,17 +296,17 @@ def run_fig3(config: ExperimentConfig) -> list:
     for i, N in enumerate(config.n_values):
         rule = gauss_rule(spec, N + 1)
         clean = np.asarray(f(rule.nodes), dtype=float)
-        noise = _additive_noise(config, i)
-        noisy = add_noise(clean, noise)
+        noise = _noise_from_config(config, i)
+        noises = (None,) if noise is None else (None, noise)
         l2r = default_l2_rule(rule, N)
         f_l2 = clean if l2r is rule else np.asarray(f(l2r.nodes), dtype=float)
-        # both sample vectors in one pass per point set, at lambda = 0; each
+        # every sample vector in one pass per point set, at lambda = 0; each
         # lambda is then the scalar 1/(1+lambda)
-        data = BarycentricData(rule.nodes, weights_gauss(rule),
-                               np.column_stack([clean, noisy]))
+        samples = [clean if n is None else add_noise(clean, n) for n in noises]
+        data = BarycentricData(rule.nodes, weights_gauss(rule), np.column_stack(samples))
         p_grid = interp_barycentric(data, grid)
         p_l2 = interp_barycentric(data, l2r.nodes)
-        for c, column_noise in enumerate((None, noise)):
+        for c, column_noise in enumerate(noises):
             uniform = _max_errors(f_grid, p_grid[:, c], config.lambdas)
             reports += _reports(rule, N, config.lambdas, column_noise, uniform, l2r,
                                 f_l2, p_l2[:, c])

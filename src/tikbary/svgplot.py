@@ -8,9 +8,12 @@ The CSV's '# plot-hint:' lines say what to draw:
     plot-hint: logy = true                (optional; likewise logx)
     plot-hint: title = some text          (optional)
 
-One polyline per (y column, group) pair.  Rows with a blank or, on a log
-axis, nonpositive value are dropped from that series.  No dependencies, no
-randomness: the same CSV text always renders the same bytes.
+One polyline per (y column, group) pair: by y column, then by group key in
+order of first appearance, with points in row order.  Rows with a blank or,
+on a log axis, nonpositive value are dropped from that series.  One pass
+groups the rows, and each point is parsed and mapped to its axis
+(math.log10 on a log axis) once.  No dependencies, no randomness: the same
+CSV text always renders the same bytes.
 """
 
 import math
@@ -84,26 +87,24 @@ def render_table_data(table) -> str:
 
     xi = table.columns.index(xcol)
     gidx = [table.columns.index(c) for c in group_cols]
-    groups = []  # distinct key tuples in order of first appearance
+    groups = {}  # key tuple -> its rows; dict order is first appearance
     for row in table.rows:
-        key = tuple(row[i] for i in gidx)
-        if key not in groups:
-            groups.append(key)
+        groups.setdefault(tuple(row[i] for i in gidx), []).append(row)
+    tx = math.log10 if logx else (lambda v: v)
+    ty = math.log10 if logy else (lambda v: v)
 
-    series = []  # (label, [(x, y), ...])
+    series = []  # (label, [(tx(x), ty(y)), ...])
     for ycol in ycols:
         yi = table.columns.index(ycol)
-        for key in groups:
+        for key, rows in groups.items():
             pts = []
-            for row in table.rows:
-                if tuple(row[i] for i in gidx) != key:
-                    continue
+            for row in rows:
                 if row[xi] == "" or row[yi] == "":
                     continue
                 x, y = float(row[xi]), float(row[yi])
                 if (logy and y <= 0.0) or (logx and x <= 0.0):
                     continue
-                pts.append((x, y))
+                pts.append((tx(x), ty(y)))
             if pts:
                 label = ycol
                 for name, val in zip(group_cols, key):
@@ -127,12 +128,9 @@ def render_table_data(table) -> str:
                      "no plottable data</text></svg>")
         return "\n".join(parts) + "\n"
 
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    tx = math.log10 if logx else (lambda v: v)
-    ty = math.log10 if logy else (lambda v: v)
-    xlo, xhi = min(map(tx, xs)), max(map(tx, xs))
-    ylo, yhi = min(map(ty, ys)), max(map(ty, ys))
+    xs, ys = zip(*(p for _, pts in series for p in pts))
+    xlo, xhi = min(xs), max(xs)
+    ylo, yhi = min(ys), max(ys)
     if xhi == xlo:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi == ylo:
@@ -141,18 +139,18 @@ def render_table_data(table) -> str:
     xlo, xhi = xlo - pad * (xhi - xlo), xhi + pad * (xhi - xlo)
     ylo, yhi = ylo - pad * (yhi - ylo), yhi + pad * (yhi - ylo)
 
-    def sx(v):
-        return px0 + (tx(v) - xlo) / (xhi - xlo) * (px1 - px0)
+    def sx(t):  # t is tx of a value
+        return px0 + (t - xlo) / (xhi - xlo) * (px1 - px0)
 
-    def sy(v):
-        return py0 - (ty(v) - ylo) / (yhi - ylo) * (py0 - py1)
+    def sy(t):
+        return py0 - (t - ylo) / (yhi - ylo) * (py0 - py1)
 
     xticks = _log_ticks(10.0**xlo, 10.0**xhi) if logx else _nice_ticks(xlo, xhi)
     yticks = _log_ticks(10.0**ylo, 10.0**yhi) if logy else _nice_ticks(ylo, yhi)
     for v in xticks:
         if tx(v) < xlo or tx(v) > xhi:
             continue
-        X = sx(v)
+        X = sx(tx(v))
         parts.append(f'<line x1="{X:.2f}" y1="{py0}" x2="{X:.2f}" y2="{py1}" '
                      'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{X:.2f}" y="{py0 + 18}" text-anchor="middle">'
@@ -160,7 +158,7 @@ def render_table_data(table) -> str:
     for v in yticks:
         if ty(v) < ylo or ty(v) > yhi:
             continue
-        Y = sy(v)
+        Y = sy(ty(v))
         parts.append(f'<line x1="{px0}" y1="{Y:.2f}" x2="{px1}" y2="{Y:.2f}" '
                      'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{px0 - 6}" y="{Y + 4:.2f}" text-anchor="end">'
@@ -170,13 +168,13 @@ def render_table_data(table) -> str:
 
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        pixels = [(sx(x), sy(y)) for x, y in pts]
+        coords = " ".join(f"{X:.2f},{Y:.2f}" for X, Y in pixels)
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{color}" stroke-width="1.6"/>')
-        if len(pts) <= 64:
-            for x, y in pts:
-                parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
-                             f'r="2.4" fill="{color}"/>')
+        if len(pixels) <= 64:
+            parts += [f'<circle cx="{X:.2f}" cy="{Y:.2f}" r="2.4" fill="{color}"/>'
+                      for X, Y in pixels]
         ly = py1 + 16 + 18 * i
         lx = px1 + 12
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '

@@ -161,6 +161,19 @@ class TestDataValidation:
             BarycentricData(nodes, np.array([0.5, -1.0, 0.5]), np.ones(3),
                             lam=lam)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", [interp_barycentric, interp_modified_lagrange])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan,
+                                   np.array([-0.3, math.nan, 0.4])])
+    def test_rejects_non_finite_x(self, form, x):
+        # unchecked, inf reads as a vanished denominator in the quotient
+        # form and as inf/inf in the modified Lagrange form, and NaN passes
+        # through both
+        rule = gauss_rule(CHEB, 21)
+        data = BarycentricData(rule.nodes, weights_gauss(rule), f1(rule.nodes))
+        with pytest.raises(ValueError, match="x must be finite"):
+            form(data, x)
+
     def test_stacked_values_shapes(self):
         nodes = np.array([-0.5, 0.0, 0.5])
         w = np.array([0.5, -1.0, 0.5])

@@ -261,6 +261,39 @@ class TestRunners:
         assert seeds.count("") == 4
         assert table.column("L") == table.column("N")
 
+    def test_fig3_without_noise_keeps_the_clean_column(self, tmp_path):
+        # only the clean column, whose rows are those of an additive run
+        sizes = dict(l_values=(20, 40), n_values=(20, 40))
+        cfg = _tiny("fig3", tmp_path / "none", noise_kind=None, **sizes)
+        run(cfg)
+        table = read_table(tmp_path / "none" / "fig3.csv")
+        assert table.metadata["noise_kind"] == "none"
+        assert len(table.rows) == 2 * len(cfg.lambdas)
+        assert table.column("seed") == [""] * len(table.rows)
+        assert table.column("snr_db") == [""] * len(table.rows)
+        run(_tiny("fig3", tmp_path / "additive", **sizes))
+        additive = read_table(tmp_path / "additive" / "fig3.csv")
+        assert table.rows == [r for r in additive.rows
+                              if r[REPORT_COLUMNS.index("seed")] == ""]
+
+    def test_fig3_multiplicative_noise(self, tmp_path):
+        cfg = _tiny("fig3", tmp_path, l_values=(20,), n_values=(20,),
+                    noise_kind="multiplicative-uniform")
+        run(cfg)
+        table = read_table(tmp_path / "fig3.csv")
+        seeds = table.column("seed")
+        assert seeds == [""] * 2 + [str(derive_seed(cfg.seed, 0))] * 2
+        assert table.column("snr_db") == [""] * 4
+        rule = gauss_rule(BasisSpec.from_name(cfg.basis), 21)
+        f = FUNCTIONS[cfg.fn]
+        noise = NoiseSpec("multiplicative-uniform", derive_seed(cfg.seed, 0),
+                          c=cfg.noise_c)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               add_noise(f(rule.nodes), noise))
+        grid = experiments._grid(cfg)
+        want = np.max(np.abs(f(grid) - interp_barycentric(data, grid)))
+        assert float(table.column("uniform_error")[2]) == pytest.approx(want, rel=1e-12)
+
     def test_fig4_emits_data_curves_errors(self, tmp_path):
         cfg = _tiny("fig4", tmp_path, l_values=(20,), n_values=(20,))
         paths = run(cfg)

@@ -1,5 +1,7 @@
 """SVG rendering from CSV text: determinism, hints, and structure."""
 
+import hashlib
+
 import pytest
 
 from tikbary.csvio import render_table
@@ -75,6 +77,29 @@ class TestSeries:
                             (), ("x = x", "y = v"))
         svg = render_csv_text(text)
         assert svg.count("<polyline") == 1
+
+    def test_bytes_pinned(self):
+        # groups (lam, kind) first appear as (0.5, q), (0.1, p), (0.5, p),
+        # out of sorted order; (0.5, q) has 76 plottable points of a and at
+        # most 64 of b; both log axes see blank and nonpositive cells, and
+        # every b of (0.5, p) is blank, so that series is left out
+        # the digest is of the bytes the renderer gave before its one-pass
+        # rewrite
+        rows = []
+        for k in range(80):
+            x = (k - 3) * 0.25
+            rows.append([x, 1.0 + k * k, None if k % 9 == 4 else 2.0 - k / 20, 0.5, "q"])
+            if k % 8 == 0:
+                rows.append([x + 0.1, 3.0 - k / 10, k - 3.0, 0.1, "p"])
+            if k % 16 == 1:
+                rows.append([k + 1.0, 0.0 if k == 1 else k * 0.5, None, 0.5, "p"])
+        text = render_table(("x", "a", "b", "lam", "kind"), rows, (),
+                            ("x = x", "y = a, b", "group-by = lam, kind",
+                             "logx = true", "logy = true", "title = pinned"))
+        svg = render_csv_text(text)
+        assert svg.count("<polyline") == 5
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "9affac978d2f259d09448fd754ccaecd000cdacbd4a2bb2c3833e9a1bcb8e726")
 
 
 class TestEscaping:
