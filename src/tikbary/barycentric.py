@@ -19,7 +19,7 @@ Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
 the work table stays cache-sized at any N.  The block size does not change a
 bit of the output: each row of the table is reduced on its own whatever block
 it sits in, the quotient form's denominator by NumPy's pairwise sum and each
-of its numerators by one BLAS ddot against a fresh copy of the column.
+of its numerators by one BLAS ddot against a contiguous copy of the column.
 Points equal to a node never enter the table; their values, the division by
 the denominator and the zero check are done once per call over all of x.
 The numerators' last bits therefore depend on the ddot kernel of the BLAS
@@ -221,7 +221,8 @@ def interp_modified_lagrange(data: BarycentricData, x):
     The node polynomial and the scale anchor are carried in log space when
     the node count is large; a binary search gives the sign.  Takes one
     sample vector; stacked values go through interp_barycentric.  x must
-    be finite.
+    be finite.  Off [-1, 1] this is the form to use: it is backward stable
+    at any x (Higham 2004), the quotient form only on the interval.
     """
     if data.values.ndim != 1:
         raise ValueError(
@@ -248,15 +249,16 @@ def interp_modified_lagrange(data: BarycentricData, x):
 def interp_barycentric(data: BarycentricData, x):
     """Evaluate the quotient form at x; scale of the weights is immaterial.
 
+    The form is meant for x in [-1, 1]; use interp_modified_lagrange off it.
+    |x| > 1 is not rejected, since BarycentricData accepts nodes anywhere.
     x must be finite.  A point equal to a node returns f_j/(1+lambda).  For
     real distinct nodes with alternating weights the denominator cannot
     vanish off the nodes; a zero there means corrupted data and raises.
 
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
-    column c is bitwise the result for values[:, c] alone: every column's
-    numerator is the same per-row ddot a single vector gets, always against
-    a fresh contiguous copy of the column: ddot's bits depend on the stride
-    of that vector and, in some kernels, on its alignment.
+    column c is bitwise the result for values[:, c] alone: every numerator
+    is one per-row ddot in a single vecdot call, each against a row of the
+    contiguous copy of values.T, so ddot sees unit stride whatever k is.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -265,14 +267,13 @@ def interp_barycentric(data: BarycentricData, x):
     shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)
     hit_rows, hit_cols = _node_hits(data.nodes, xv)
-    columns = [values[:, c].copy() for c in range(values.shape[1])]
+    columns = np.ascontiguousarray(values.T)
     out = np.empty((xv.size, len(columns)))  # numerators until the division
     denom = np.empty(xv.size)
     for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
         ratios = np.divide(data.weights, diffs, out=diffs)
         denom[rows] = ratios.sum(axis=1)
-        for c, column in enumerate(columns):
-            out[rows, c] = np.vecdot(ratios, column)
+        out[rows] = np.vecdot(ratios[:, None, :], columns)
     # a node hit is f_j over a denominator of 1
     out[hit_rows] = values[hit_cols]
     denom[hit_rows] = 1.0

@@ -43,12 +43,16 @@ from .signals import FUNCTIONS
 __all__ = ["main", "build_parser"]
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
+def _write_table(args, name, columns, rows, meta, hints=()) -> int:
+    """The table as CSV under (table, version, basis) and meta, to --out or stdout."""
+    meta = [("table", name), ("version", __version__), ("basis", args.basis), *meta]
+    text = render_table(columns, rows, meta, hints)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    return 0
 
 
 def _read_xy(path):
@@ -88,10 +92,8 @@ def _samples_for_rule(args, rule):
 def _cmd_quadrature_dump(args) -> int:
     rule = gauss_rule(BasisSpec.from_name(args.basis), args.points)
     rows = [[j, rule.nodes[j], rule.weights[j]] for j in range(len(rule))]
-    meta = [("table", "quadrature"), ("version", __version__),
-            ("basis", args.basis), ("points", args.points)]
-    _write_or_print(render_table(("j", "node", "weight"), rows, meta), args.out)
-    return 0
+    return _write_table(args, "quadrature", ("j", "node", "weight"), rows,
+                        [("points", args.points)])
 
 
 def _single_lambda(args) -> float:
@@ -109,10 +111,8 @@ def _cmd_fit(args) -> int:
     lam = _single_lambda(args)
     approx = fit_op(rule, args.L, lam, _samples_for_rule(args, rule))
     rows = [[l, approx.coefficients[l]] for l in range(args.L + 1)]
-    meta = [("table", "coefficients"), ("version", __version__),
-            ("basis", args.basis), ("L", args.L), ("N", n), ("lambda", lam)]
-    _write_or_print(render_table(("l", "beta"), rows, meta), args.out)
-    return 0
+    return _write_table(args, "coefficients", ("l", "beta"), rows,
+                        [("L", args.L), ("N", n), ("lambda", lam)])
 
 
 def _cmd_interp(args) -> int:
@@ -123,26 +123,31 @@ def _cmd_interp(args) -> int:
     values = _samples_for_rule(args, rule)
     data = BarycentricData(rule.nodes, weights_gauss(rule), values, lam)
     grid = np.linspace(-1.0, 1.0, args.eval_points)
-    p = interp_barycentric(data, grid)
-    rows = np.column_stack([grid, p]).tolist()
-    meta = [("table", "interpolant"), ("version", __version__),
-            ("basis", args.basis), ("N", args.N), ("lambda", lam)]
-    hints = ["x = x", "y = value"]
-    _write_or_print(render_table(("x", "value"), rows, meta, hints), args.out)
+    rows = np.column_stack([grid, interp_barycentric(data, grid)]).tolist()
+    return _write_table(args, "interpolant", ("x", "value"), rows,
+                        [("N", args.N), ("lambda", lam)], ["x = x", "y = value"])
+
+
+def _run_with_flags(config: ExperimentConfig, args) -> int:
+    """Run config with every config flag that was given applied in one
+    replace, and print the written paths; a flag left out is None and keeps
+    its field, so the defaults live in ExperimentConfig alone."""
+    given = {"basis": args.basis, "fn": args.fn, "seed": args.seed,
+             "out_dir": args.out, "snr_db": args.snr_db,
+             "l_values": None if args.L is None else (args.L,),
+             "n_values": None if args.N is None else (args.N,),
+             "lambdas": None if args.lam is None else tuple(args.lam)}
+    for path in run(replace(config, **{k: v for k, v in given.items() if v is not None})):
+        print(path)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    lambdas = tuple(args.lam) if args.lam else tuple(default_lambda_grid())
     noise_kind = None if args.no_noise else "additive-white-snr"
-    config = ExperimentConfig(
-        experiment="sweep", basis=args.basis, fn=args.fn, seed=args.seed,
-        out_dir=args.out, l_values=(args.L,),
-        n_values=(args.L if args.N is None else args.N,),
-        lambdas=lambdas, noise_kind=noise_kind, snr_db=args.snr_db)
-    for path in run(config):
-        print(path)
-    return 0
+    config = ExperimentConfig("sweep", l_values=(args.L,), n_values=(args.L,),
+                              lambdas=tuple(default_lambda_grid()),
+                              noise_kind=noise_kind)
+    return _run_with_flags(config, args)
 
 
 def _cmd_run(args) -> int:
@@ -160,28 +165,7 @@ def _cmd_run(args) -> int:
         config = factory(args.experiment)
     else:
         raise ValueError("give --config FILE or --experiment ID")
-    overrides = {}
-    if args.basis is not None:
-        overrides["basis"] = args.basis
-    if args.fn is not None:
-        overrides["fn"] = args.fn
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.L is not None:
-        overrides["l_values"] = (args.L,)
-    if args.N is not None:
-        overrides["n_values"] = (args.N,)
-    if args.lam:
-        overrides["lambdas"] = tuple(args.lam)
-    if args.snr_db is not None:
-        overrides["snr_db"] = args.snr_db
-    if overrides:
-        config = replace(config, **overrides)
-    for path in run(config):
-        print(path)
-    return 0
+    return _run_with_flags(config, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,6 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", default=None,
                        help="CSV of (x, f(x)) rows sampled at the nodes")
 
+    def add_config_flags(p):
+        # ExperimentConfig overrides for _run_with_flags, None when not given
+        p.add_argument("--basis")
+        p.add_argument("--fn", choices=sorted(FUNCTIONS))
+        p.add_argument("--lambda", dest="lam", type=float, action="append",
+                       help="lambda values (repeatable; default the config's, "
+                            "for sweep the 21-point grid)")
+        p.add_argument("--N", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--snr-db", type=float)
+        p.add_argument("--out", help="output directory")
+
     p = sub.add_parser("quadrature-dump", help="print a Gauss rule as CSV")
     p.add_argument("--basis", default="chebyshev1")
     p.add_argument("--points", type=int, required=True)
@@ -221,30 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_interp)
 
     p = sub.add_parser("sweep", help="sweep lambda at fixed L, N")
-    p.add_argument("--basis", default="chebyshev1")
-    p.add_argument("--fn", choices=sorted(FUNCTIONS), default="f1")
-    p.add_argument("--lambda", dest="lam", type=float, action="append",
-                   help="sweep values (repeatable; default the 21-point grid)")
+    add_config_flags(p)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--snr-db", type=float, default=5.0)
     p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--out", default="results", help="output directory")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("run", help="run an experiment family")
     p.add_argument("--config", default=None, help="config file path")
     p.add_argument("--experiment", choices=EXPERIMENTS, default=None)
     p.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    p.add_argument("--basis", default=None)
-    p.add_argument("--fn", choices=sorted(FUNCTIONS), default=None)
+    add_config_flags(p)
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, action="append")
-    p.add_argument("--snr-db", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_run)
 
     return parser

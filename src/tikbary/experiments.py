@@ -251,6 +251,23 @@ def _fit_tables(config: ExperimentConfig, fnames, cells) -> list:
             for f in (FUNCTIONS[fname] for fname in fnames)]
 
 
+def _one(config: ExperimentConfig, key: str) -> int:
+    """The single value of a degree axis that the runner holds fixed."""
+    values = getattr(config, key)
+    if len(values) != 1:
+        raise ValueError(f"{config.experiment} takes one {key} value, got {list(values)}")
+    return values[0]
+
+
+def _check_l_equals_n(config: ExperimentConfig) -> None:
+    """Interpolation is the fit at L = N, so l_values must equal n_values."""
+    if config.l_values != config.n_values:
+        raise ValueError(
+            f"{config.experiment} interpolates at L = N: l_values must equal "
+            "n_values (on the command line, give --L with the same value as "
+            f"--N), got {list(config.l_values)} and {list(config.n_values)}")
+
+
 def _emit_fig12(config: ExperimentConfig, cells, x, fixed) -> list:
     written = []
     for fname, reports in zip(("f1", "f2"), _fit_tables(config, ("f1", "f2"), cells)):
@@ -263,7 +280,7 @@ def _emit_fig12(config: ExperimentConfig, cells, x, fixed) -> list:
 
 def run_fig1(config: ExperimentConfig) -> list:
     """Errors versus fitted degree L at fixed N, noisy data, for f1 and f2."""
-    N = config.n_values[0]
+    N = _one(config, "n_values")
     for L in config.l_values:
         if L > N:
             raise ValueError(f"L={L} exceeds N={N}")
@@ -273,7 +290,7 @@ def run_fig1(config: ExperimentConfig) -> list:
 
 def run_fig2(config: ExperimentConfig) -> list:
     """Errors versus rule degree N at fixed L, noisy data, for f1 and f2."""
-    L = config.l_values[0]
+    L = _one(config, "l_values")
     if min(config.n_values) < L:
         raise ValueError("every N must be >= L, the quadrature identity needs it")
     cells = [(L, N, i) for i, N in enumerate(config.n_values)]
@@ -283,11 +300,7 @@ def run_fig2(config: ExperimentConfig) -> list:
 def run_fig3(config: ExperimentConfig) -> list:
     """Classical vs shrunk barycentric interpolation of f3 as N grows,
     noise-free and, unless noise_kind is none, noisy."""
-    if config.l_values != config.n_values:
-        raise ValueError(
-            "fig3 interpolates at L = N: l_values must equal n_values (on the "
-            "command line, give --L with the same value as --N), got "
-            f"{list(config.l_values)} and {list(config.n_values)}")
+    _check_l_equals_n(config)
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
     grid = _grid(config)
@@ -321,11 +334,14 @@ def run_fig45(config: ExperimentConfig) -> list:
 
     Emits the sampled data per variant, both interpolants (lambda = 0 and the
     configured shrinkage) on the dense grid, and pointwise deviations from
-    the clean target function.
+    the clean target function, at one degree L = N.  The multiplicative
+    variants use the paper's fixed c = 0.3 and 0.4: noise_c and noise_kind
+    are not read.
     """
+    _check_l_equals_n(config)
+    N = _one(config, "n_values")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
-    N = config.n_values[0]
     rule = gauss_rule(spec, N + 1)
     clean = np.asarray(f(rule.nodes), dtype=float)
     lam_t = config.lambdas[-1]
@@ -339,9 +355,8 @@ def run_fig45(config: ExperimentConfig) -> list:
         variants.append((f"mult-{c}", add_noise(clean, noise)))
 
     data_cols = ["j", "x"] + [name for name, _ in variants]
-    data_rows = []
-    for j in range(len(rule)):
-        data_rows.append([j, rule.nodes[j]] + [v[j] for _, v in variants])
+    data_rows = [[j, rule.nodes[j]] + [v[j] for _, v in variants]
+                 for j in range(len(rule))]
     written = _emit(config, f"{config.experiment}_data", data_cols, data_rows,
                     ["x = x", "y = " + ", ".join(n for n, _ in variants),
                      f"title = sampled data, {config.fn}"])
@@ -373,8 +388,8 @@ def run_fig45(config: ExperimentConfig) -> list:
 def run_sweep(config: ExperimentConfig) -> list:
     """One lambda sweep at fixed (L, N); reports the argmin per metric, the
     first lambda reaching the minimum."""
-    L = config.l_values[0]
-    [reports] = _fit_tables(config, (config.fn,), [(L, config.n_values[0], 0)])
+    L, N = _one(config, "l_values"), _one(config, "n_values")
+    [reports] = _fit_tables(config, (config.fn,), [(L, N, 0)])
     hints = ["x = lambda", "y = uniform_error, l2_error", "logx = true",
              "logy = true", f"title = lambda sweep, {config.fn}, L={L}"]
     best = [(f"best-lambda-{metric}", lam)

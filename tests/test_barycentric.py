@@ -8,6 +8,7 @@ semantics at and near nodes.
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -662,3 +663,33 @@ class TestRescaledSamples:
         at_nodes = interp_barycentric(tik, rule.nodes)
         assert np.max(np.abs(at_nodes - clean)) <= abs(factor - 1.0) \
             * np.max(np.abs(clean)) + 1e-12
+
+
+class TestDomain:
+    """The quotient form on [-1, 1], the modified Lagrange form off it,
+    against a 50-digit Lagrange sum over the same double nodes and samples."""
+
+    rule = gauss_rule(CHEB, 21)
+    data = BarycentricData(rule.nodes, weights_gauss(rule), f1(rule.nodes))
+
+    def _lagrange(self, x):
+        with mpmath.workdps(50):
+            nodes = [mpmath.mpf(float(v)) for v in self.data.nodes]
+            total = mpmath.mpf(0)
+            for j, (x_j, f_j) in enumerate(zip(nodes, self.data.values)):
+                term = mpmath.mpf(float(f_j))
+                for k, x_k in enumerate(nodes):
+                    if k != j:
+                        term *= (x - x_k) / (x_j - x_k)
+                total += term
+            return float(total)
+
+    @pytest.mark.parametrize("x", [-1.0, 0.999, 1.0])
+    def test_quotient_form_on_the_interval(self, x):
+        want = self._lagrange(x)
+        assert abs(interp_barycentric(self.data, x) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("x", [2.0, 10.0])
+    def test_modified_lagrange_off_the_interval(self, x):
+        want = self._lagrange(x)
+        assert abs(interp_modified_lagrange(self.data, x) - want) <= 1e-12 * abs(want)

@@ -1,5 +1,6 @@
 """Command line interface, driven in process through main(argv)."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -226,6 +227,59 @@ class TestSweep:
         assert code == 0
         table = read_table(tmp_path / "sweep.csv")
         assert [float(v) for v in table.column("lambda")] == [0.1, 0.2]
+
+    def test_equals_run_at_paper_scale(self, capsys, tmp_path):
+        # sweep is run --experiment sweep at the paper grid
+        flags = ("--L", "30", "--N", "40", "--fn", "f2", "--seed", "7")
+        code, _, _ = _run(capsys, "sweep", *flags, "--out", str(tmp_path / "a"))
+        assert code == 0
+        code, _, _ = _run(capsys, "run", "--experiment", "sweep", "--scale", "paper",
+                          *flags, "--out", str(tmp_path / "b"))
+        assert code == 0
+        for name in ("sweep.csv", "sweep.svg"):
+            a, b = ([line for line in (tmp_path / side / name).read_bytes().splitlines()
+                     if not line.startswith(b"# out_dir = ")] for side in "ab")
+            assert a == b and len(a) > 20
+
+    def test_bare_flags_echo_the_config_defaults(self, capsys, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = _run(capsys, "sweep", "--L", "8", "--N", "16",
+                            "--lambda", "0.1")
+        assert code == 0
+        assert out.split() == ["results/sweep.csv", "results/sweep.svg"]
+        meta = read_table(tmp_path / "results" / "sweep.csv").metadata
+        assert {key: meta[key] for key in (
+            "seed", "basis", "fn", "snr_db", "noise_kind", "grid_equispaced",
+            "grid_chebyshev", "out_dir", "l_values", "n_values", "lambdas")} == {
+            "seed": "12345", "basis": "chebyshev1", "fn": "f1", "snr_db": "5.0",
+            "noise_kind": "additive-white-snr", "grid_equispaced": "10001",
+            "grid_chebyshev": "2001", "out_dir": "results", "l_values": "[8]",
+            "n_values": "[16]", "lambdas": "[0.1]"}
+
+
+class TestParser:
+    def test_every_subcommand_keeps_its_flags(self):
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        got = {None: sorted(s for a in parser._actions for s in a.option_strings)}
+        got.update((name, sorted(s for a in p._actions for s in a.option_strings))
+                   for name, p in sub.choices.items())
+        want = {
+            None: ["-h", "--help", "--version"],
+            "quadrature-dump": ["-h", "--help", "--basis", "--points", "--out"],
+            "fit": ["-h", "--help", "--basis", "--lambda", "--out", "--fn",
+                    "--data", "--L", "--N"],
+            "interp": ["-h", "--help", "--basis", "--lambda", "--out", "--fn",
+                       "--data", "--N", "--eval-points"],
+            "sweep": ["-h", "--help", "--basis", "--fn", "--lambda", "--L", "--N",
+                      "--seed", "--snr-db", "--no-noise", "--out"],
+            "run": ["-h", "--help", "--config", "--experiment", "--scale",
+                    "--basis", "--fn", "--L", "--N", "--lambda", "--snr-db",
+                    "--seed", "--out"],
+        }
+        assert got == {name: sorted(flags) for name, flags in want.items()}
 
 
 class TestBasisOverflow:

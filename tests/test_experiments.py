@@ -250,6 +250,36 @@ class TestRunners:
         with pytest.raises(ValueError, match="must be >="):
             run(cfg)
 
+    _L_EQUALS_N = ("interpolates at L = N: l_values must equal n_values (on the "
+                   "command line, give --L with the same value as --N), got ")
+
+    @pytest.mark.parametrize("experiment, overrides, message", [
+        ("fig1", dict(l_values=(8, 16), n_values=(32, 64)),
+         "fig1 takes one n_values value, got [32, 64]"),
+        ("fig2", dict(l_values=(8, 16), n_values=(32,)),
+         "fig2 takes one l_values value, got [8, 16]"),
+        ("sweep", dict(l_values=(8, 16), n_values=(32, 64)),
+         "sweep takes one l_values value, got [8, 16]"),
+        ("sweep", dict(l_values=(8,), n_values=(32, 64)),
+         "sweep takes one n_values value, got [32, 64]"),
+        ("fig4", dict(l_values=(8,), n_values=(20, 40), noise_c=0.9),
+         "fig4 " + _L_EQUALS_N + "[8] and [20, 40]"),
+        ("fig4", dict(l_values=(20, 40), n_values=(20, 40)),
+         "fig4 takes one n_values value, got [20, 40]"),
+        ("fig5", dict(l_values=(8,), n_values=(20,)),
+         "fig5 " + _L_EQUALS_N + "[8] and [20]"),
+    ], ids=["fig1-two-N", "fig2-two-L", "sweep-two-L", "sweep-two-N",
+            "fig4-L-not-N", "fig4-two-N", "fig5-L-not-N"])
+    def test_fixed_axis_takes_one_value(self, tmp_path, experiment, overrides,
+                                        message):
+        # the runner used to read the first value alone while the CSV echoed
+        # them all
+        cfg = _tiny(experiment, tmp_path, **overrides)
+        with pytest.raises(ValueError) as info:
+            run(cfg)
+        assert str(info.value) == message
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig3_rows_cover_clean_and_noisy(self, tmp_path):
         cfg = _tiny("fig3", tmp_path, l_values=(8, 16), n_values=(8, 16))
         paths = run(cfg)
