@@ -334,12 +334,15 @@ def run_fig45(config: ExperimentConfig) -> list:
 
     Emits the sampled data per variant, both interpolants (lambda = 0 and the
     configured shrinkage) on the dense grid, and pointwise deviations from
-    the clean target function, at one degree L = N.  The multiplicative
-    variants use the paper's fixed c = 0.3 and 0.4: noise_c and noise_kind
-    are not read.
+    the clean target function, at one degree L = N.  lambdas is
+    (lambda,) or (0.0, lambda).  The multiplicative variants use the
+    paper's fixed c = 0.3 and 0.4: noise_c and noise_kind are not read.
     """
     _check_l_equals_n(config)
     N = _one(config, "n_values")
+    if config.lambdas[:-1] not in ((), (0.0,)):
+        raise ValueError(f"{config.experiment} takes lambdas (lambda,) or (0.0, lambda), "
+                         f"got {list(config.lambdas)}")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
     rule = gauss_rule(spec, N + 1)

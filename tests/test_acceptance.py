@@ -24,6 +24,7 @@ import pytest
 from numpy.polynomial import chebyshev
 
 from oracles import normal_equations_oracle
+from tikbary import regularized_fit
 from tikbary.barycentric import (
     BarycentricData,
     interp_barycentric,
@@ -351,6 +352,7 @@ def test_criterion_13_determinism(tmp_path):
     ]
     for config in configs:
         first = {p: open(p, "rb").read() for p in run(config)}
+        regularized_fit._LAMBDA_FREE.clear()
         second = {p: open(p, "rb").read() for p in run(config)}
         assert first == second
         print(f"{config.experiment}: {len(first)} files byte-identical "

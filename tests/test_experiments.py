@@ -237,6 +237,7 @@ class TestRunners:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _tiny("fig1", tmp_path, l_values=(8, 16), n_values=(32,))
         first = {p: open(p, "rb").read() for p in run(cfg)}
+        regularized_fit._LAMBDA_FREE.clear()
         second = {p: open(p, "rb").read() for p in run(cfg)}
         assert first == second
 
@@ -268,8 +269,13 @@ class TestRunners:
          "fig4 takes one n_values value, got [20, 40]"),
         ("fig5", dict(l_values=(8,), n_values=(20,)),
          "fig5 " + _L_EQUALS_N + "[8] and [20]"),
+        ("fig4", dict(l_values=(8,), n_values=(8,), lambdas=(0.0, 0.1, 0.2)),
+         "fig4 takes lambdas (lambda,) or (0.0, lambda), got [0.0, 0.1, 0.2]"),
+        ("fig5", dict(l_values=(8,), n_values=(8,), lambdas=(0.1, 0.2)),
+         "fig5 takes lambdas (lambda,) or (0.0, lambda), got [0.1, 0.2]"),
     ], ids=["fig1-two-N", "fig2-two-L", "sweep-two-L", "sweep-two-N",
-            "fig4-L-not-N", "fig4-two-N", "fig5-L-not-N"])
+            "fig4-L-not-N", "fig4-two-N", "fig5-L-not-N", "fig4-three-lambdas",
+            "fig5-two-nonzero-lambdas"])
     def test_fixed_axis_takes_one_value(self, tmp_path, experiment, overrides,
                                         message):
         # the runner used to read the first value alone while the CSV echoed
@@ -342,6 +348,17 @@ class TestRunners:
         errors = read_table(tmp_path / "fig4_errors.csv")
         assert "err-classical-true" in errors.columns
         assert len(errors.columns) == 9
+
+    def test_fig4_one_lambda_is_zero_then_lambda(self, tmp_path):
+        # the curves are at 0 and the last entry whether or not 0 is given
+        outputs = []
+        for lambdas in ((LAMBDA_STAR,), (0.0, LAMBDA_STAR)):
+            cfg = _tiny("fig4", tmp_path / str(len(lambdas)), l_values=(12,),
+                        n_values=(12,), lambdas=lambdas)
+            outputs.append([[line for line in open(p).read().splitlines()
+                             if not line.startswith(("# lambdas", "# out_dir"))]
+                            for p in run(cfg) if p.endswith(".csv")])
+        assert outputs[0] == outputs[1]
 
     def test_fig4_scaled_variant_is_exactly_1p2_times_clean(self, tmp_path):
         cfg = _tiny("fig4", tmp_path, l_values=(12,), n_values=(12,))

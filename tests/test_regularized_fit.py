@@ -19,7 +19,7 @@ from oracles import normal_equations_oracle, per_column_values_oracle
 from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
 from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
-from tikbary.quadrature import gauss_rule
+from tikbary.quadrature import QuadratureRule, gauss_rule
 from tikbary.regularized_fit import (
     RegularizedApproximant,
     check_lambda,
@@ -343,8 +343,7 @@ class TestLebesgueConstant:
             rule = gauss_rule(spec, N + 1)
             base = lebesgue_constant(rule, L, 0.0)
             for lam in (1e-2, LAMBDA_STAR, 1.0):
-                scaled = lebesgue_constant(rule, L, lam) * (1.0 + lam)
-                assert abs(scaled - base) <= 1e-14 * base
+                assert lebesgue_constant(rule, L, lam) == base / (1.0 + lam)
 
     def test_logarithmic_growth(self):
         # log growth: increasing, increments over doublings stay under
@@ -397,8 +396,93 @@ class TestLebesgueConstant:
         default = lebesgue_constant(rule, 200, 0.0, grid=grid)
         for rows in (64, 10**6):
             monkeypatch.setattr(regularized_fit, "_KERNEL_BLOCK_ENTRIES", rows * 401)
+            regularized_fit._LAMBDA_FREE.clear()
             np.testing.assert_array_equal(
                 lebesgue_constant(rule, 200, 0.0, grid=grid), default)
+
+
+class TestLambdaFreeMemo:
+    """fit and lebesgue_constant compute their lambda = 0 result once per
+    input; a warm call must give the bits of a cold one, and a changed
+    input must never get a stale result."""
+
+    def test_warm_fit_is_bitwise_cold(self):
+        rule = gauss_rule(LEG, 21)
+        samples = _rng(21).uniform(-1.0, 1.0, 21)
+        cold = fit(rule, 12, LAMBDA_STAR, samples).coefficients
+        regularized_fit._LAMBDA_FREE.clear()
+        fit(rule, 12, 0.0, samples)
+        warm = fit(rule, 12, LAMBDA_STAR, samples).coefficients
+        assert len(regularized_fit._LAMBDA_FREE) == 1
+        assert warm.tobytes() == cold.tobytes()
+
+    @pytest.mark.parametrize("L", [12, 20], ids=["L<N", "L=N"])
+    def test_warm_lebesgue_is_bitwise_cold(self, L):
+        rule = gauss_rule(LEG, 21)
+        cold = lebesgue_constant(rule, L, LAMBDA_STAR)
+        regularized_fit._LAMBDA_FREE.clear()
+        lebesgue_constant(rule, L, 0.0)
+        warm = lebesgue_constant(rule, L, LAMBDA_STAR)
+        assert len(regularized_fit._LAMBDA_FREE) == 1
+        assert warm.hex() == cold.hex()
+
+    def test_samples_changed_in_place_are_refitted(self):
+        rule = gauss_rule(CHEB, 17)
+        samples = _rng(22).uniform(-1.0, 1.0, 17)
+        before = fit(rule, 10, 0.0, samples).coefficients
+        samples[3] += 0.5
+        warm = fit(rule, 10, 0.0, samples).coefficients
+        regularized_fit._LAMBDA_FREE.clear()
+        cold = fit(rule, 10, 0.0, samples).coefficients
+        assert warm.tobytes() == cold.tobytes()
+        assert not np.array_equal(warm, before)
+
+    def test_returned_coefficients_belong_to_the_caller(self):
+        rule = gauss_rule(CHEB, 17)
+        samples = _rng(23).uniform(-1.0, 1.0, 17)
+        first = fit(rule, 10, 0.0, samples).coefficients
+        want = first.copy()
+        first[:] = 7.0
+        assert fit(rule, 10, 0.0, samples).coefficients.tobytes() == want.tobytes()
+
+    def test_weights_are_part_of_the_key(self):
+        # doubling the weights doubles every sum against them, exactly
+        rule = gauss_rule(LEG, 21)
+        heavy = QuadratureRule(rule.spec, rule.nodes, 2.0 * rule.weights)
+        samples = _rng(24).uniform(-1.0, 1.0, 21)
+        beta = fit(rule, 12, 0.0, samples).coefficients
+        assert fit(heavy, 12, 0.0, samples).coefficients.tobytes() \
+            == (2.0 * beta).tobytes()
+        assert lebesgue_constant(heavy, 12, 0.0) == 2.0 * lebesgue_constant(rule, 12, 0.0)
+
+    def test_fit_and_lebesgue_keys_stay_apart(self):
+        # the samples of the fit are the bytes of the Lebesgue grid
+        rule = gauss_rule(LEG, 31)
+        fit(rule, 30, 0.0, rule.nodes)
+        assert lebesgue_constant(rule, 30, 0.0, grid=rule.nodes) == 1.0
+
+    def test_warm_calls_still_validate(self):
+        rule = gauss_rule(LEG, 9)
+        samples = _rng(25).uniform(-1.0, 1.0, 9)
+        fit(rule, 4, 0.0, samples)
+        lebesgue_constant(rule, 4, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            fit(rule, 4, math.nan, samples)
+        with pytest.raises(ValueError, match="finite"):
+            lebesgue_constant(rule, 4, math.nan)
+        bad = samples.copy()
+        bad[3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit(rule, 4, 0.0, bad)
+        with pytest.raises(ValueError, match="does not match"):
+            fit(rule, 4, 0.0, samples[:8])
+
+    def test_holds_at_most_16_entries_dropping_the_oldest(self):
+        rule = gauss_rule(CHEB, 9)
+        for k in range(20):
+            fit(rule, 4, 0.0, np.full(9, float(k)))
+        assert [key[-1] for key in regularized_fit._LAMBDA_FREE] \
+            == [np.full(9, float(k)).tobytes() for k in range(4, 20)]
 
 
 def _kernel_lebesgue(rule, L, grid):
