@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule, gauss_rule
-from .regularized_fit import (_blocked_values, _check_grid, _values, check_lambda,
-                              continuum_limit_fit, evaluate, fit, lebesgue_constant)
+from .regularized_fit import (_blocked_values, _check_grid, _check_samples, _values,
+                              check_lambda, continuum_limit_fit, evaluate, fit,
+                              lebesgue_constant)
 from .signals import NoiseSpec, add_noise
 
 __all__ = [
@@ -268,6 +269,13 @@ def bound_check_stability(approx, samples) -> BoundCheck:
     return BoundCheck(slack >= _SLACK_TOL, slack, lhs, rhs)
 
 
+def _noise_sup(f, noisy_samples, rule: QuadratureRule) -> float:
+    """max_j |f(x_j) - noisy_j| over the rule's nodes; ValueError unless the
+    samples are finite and one per node."""
+    noisy_samples = _check_samples(rule, noisy_samples)
+    return float(np.max(np.abs(np.asarray(f(rule.nodes)) - noisy_samples)))
+
+
 def bound_check_l2_noise(
     f, noisy_samples, approx, rule: QuadratureRule, e_surrogate: float, p_norm: float,
 ) -> BoundCheck:
@@ -275,8 +283,7 @@ def bound_check_l2_noise(
     sqrt(V)/(1+lam) * sup-noise + (1 + 1/(1+lam)) E + lam/(1+lam) ||p*||,
     with lam the approximant's and E and ||p*|| replaced by their surrogates."""
     lam = approx.lam
-    noisy_samples = np.asarray(noisy_samples, dtype=float)
-    noise_sup = float(np.max(np.abs(np.asarray(f(rule.nodes)) - noisy_samples)))
+    noise_sup = _noise_sup(f, noisy_samples, rule)
     lhs = l2_error(f, approx, rule)
     rhs = (
         math.sqrt(rule.mass) / (1.0 + lam) * noise_sup
@@ -303,8 +310,7 @@ def bound_check_uniform_noise(
     else:
         grid = np.asarray(grid, dtype=float)
     lam = approx.lam
-    noisy_samples = np.asarray(noisy_samples, dtype=float)
-    noise_sup = float(np.max(np.abs(np.asarray(f(rule.nodes)) - noisy_samples)))
+    noise_sup = _noise_sup(f, noisy_samples, rule)
     if lebesgue is None:
         lebesgue = lebesgue_constant(rule, approx.degree, lam, grid=grid)
     lhs = uniform_error(f, approx, grid)

@@ -10,6 +10,7 @@ lambda = 0 recovers the plain discrete least-squares projection, which is
 interpolation when L = N.  Fitting never solves a linear system.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,26 +47,13 @@ _KERNEL_BLOCK_ENTRIES = 524288
 _DEGREE_CHUNK = 16
 _BLOCK_ENTRIES = 2**18
 
-# lambda = 0 results of fit and lebesgue_constant, by the content of their
-# inputs, oldest first.  For the bound checks at N <= 800 on the 12.8k-point
-# bounds grid, the 16 keys hold at most 0.61 MiB of input bytes
+# lambda = 0 results of fit and lebesgue_constant, each kind in its own LRU
+# cache of this many entries.  Keys hold the bytes of every input array,
+# never an id: ids are reused after garbage collection, and arrays are
+# mutable.  For the bound checks at N <= 800 on the 12.8k-point bounds grid,
+# the keys hold at most 0.35 MiB of input bytes in fit's cache and 0.51 MiB
+# in lebesgue_constant's
 _LAMBDA_FREE_ENTRIES = 16
-_LAMBDA_FREE = {}
-
-
-def _lambda_free(key, compute):
-    """compute(), or the value it gave for an equal key; the memo keeps
-    the _LAMBDA_FREE_ENTRIES most recently computed values.
-
-    A key holds the bytes of every array the result depends on, never an
-    id: ids are reused after garbage collection, and arrays are mutable.
-    """
-    if key not in _LAMBDA_FREE:
-        value = compute()
-        if len(_LAMBDA_FREE) >= _LAMBDA_FREE_ENTRIES:
-            del _LAMBDA_FREE[next(iter(_LAMBDA_FREE))]
-        _LAMBDA_FREE[key] = value
-    return _LAMBDA_FREE[key]
 
 
 def check_lambda(lam) -> None:
@@ -124,20 +112,29 @@ def _check_samples(rule: QuadratureRule, samples) -> np.ndarray:
     return samples
 
 
+@functools.lru_cache(maxsize=_LAMBDA_FREE_ENTRIES)
+def _weighted_sums(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
+                   samples: bytes) -> np.ndarray:
+    """The lambda = 0 coefficients sum_j w_j p_l(x_j) f_j, read-only, from
+    the bytes of the nodes, the weights and the samples."""
+    nodes, weights, samples = (np.frombuffer(b) for b in (nodes, weights, samples))
+    wf = weights * samples
+    beta = np.array([wf @ p for p in _orthonormal_rows(spec, L, nodes)])
+    beta.setflags(write=False)
+    return beta
+
+
 def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproximant:
     """Closed-form coefficients from weighted sums against the basis.
 
     One recurrence sweep over the basis degree; per degree the weighted
     samples are folded in, so nothing of size (N+1) x (L+1) is stored.
 
-    The sums do not depend on lambda, so each input's are computed once.
-    A module memo holds the lambda = 0 vectors, read-only, keyed by the
-    spec, L and the bytes of the nodes, the weights and the samples; it
-    keeps the _LAMBDA_FREE_ENTRIES = 16 most recent and drops the oldest
-    first.  Every call returns a new array, the vector divided by
-    (1 + lambda), which is the one division a fresh sweep ends with: the
-    memo changes no bit, and fits of one sample vector at different lambda
-    satisfy the scaling law exactly.  Inputs are validated on every call.
+    The sums do not depend on lambda: an LRU cache keeps the 16 most
+    recently used, keyed by the spec, L and the bytes of the nodes, the
+    weights and the samples, and is thread-safe.  Inputs are validated on
+    every call, and every call divides the sums by (1 + lambda) last, into
+    a new array, so a cached result has the bits of a fresh computation.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -148,16 +145,8 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
         )
     check_lambda(lam)
     samples = _check_samples(rule, samples)
-
-    def sums():
-        wf = rule.weights * samples
-        beta = np.array([wf @ p for p in _orthonormal_rows(rule.spec, L, rule.nodes)])
-        beta.setflags(write=False)
-        return beta
-
-    key = ("fit", rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
-           samples.tobytes())
-    beta = _lambda_free(key, sums) / (1.0 + lam)
+    beta = _weighted_sums(rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
+                          samples.tobytes()) / (1.0 + lam)
     return RegularizedApproximant(spec=rule.spec, degree=L, lam=lam, coefficients=beta)
 
 
@@ -235,6 +224,28 @@ def default_lebesgue_grid(rule: QuadratureRule) -> np.ndarray:
     return np.union1d(scan, rule.nodes)
 
 
+@functools.lru_cache(maxsize=_LAMBDA_FREE_ENTRIES)
+def _lebesgue_peak(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
+                   grid: bytes) -> float:
+    """Grid maximum of the lambda = 0 Lebesgue function of lebesgue_constant,
+    from the bytes of the nodes, the weights and the grid."""
+    # barycentric imports check_lambda from this module, so it is loaded here
+    from .barycentric import _lebesgue_function
+
+    rule = QuadratureRule(spec, np.frombuffer(nodes), np.frombuffer(weights))
+    grid = np.frombuffer(grid)
+    if L == rule.degree:
+        return float(np.max(_lebesgue_function(rule, grid)))
+    node_vals = eval_orthonormal(spec, L, rule.nodes)  # (L+1, N+1)
+    step = max(1, _KERNEL_BLOCK_ENTRIES // len(rule))
+    peak = 0.0
+    for start in range(0, grid.size, step):
+        kernel = eval_orthonormal(spec, L, grid[start : start + step]).T @ node_vals
+        lebesgue_fn = np.abs(kernel, out=kernel) @ rule.weights
+        peak = max(peak, float(np.max(lebesgue_fn)))
+    return peak
+
+
 def lebesgue_constant(
     rule: QuadratureRule, L: int, lam: float, grid=None
 ) -> float:
@@ -254,37 +265,19 @@ def lebesgue_constant(
       _KERNEL_BLOCK_ENTRIES kernel entries.
 
     The constant is the grid maximum divided by (1+lambda).  The maximum
-    does not depend on lambda, so each input's is computed once: fit's
-    memo of 16 entries holds it, keyed by the spec, L and the bytes of the
-    nodes, the weights and the validated grid.  The division happens
-    exactly once, last, on every call, so the memo changes no bit, and
-    constants for different lambda on the same grid satisfy the scaling
-    law exactly.  Inputs are validated on every call.  Raises ValueError
-    for L outside 0..N, a negative or non-finite lambda, an empty grid, or
-    grid entries that are not finite or lie outside [-1, 1].
+    does not depend on lambda: an LRU cache of its own keeps the 16 most
+    recently used, keyed by the spec, L and the bytes of the nodes, the
+    weights and the validated grid, and is thread-safe.  The division
+    happens last, on every call, so a cached maximum gives the bits of a
+    fresh computation.  Inputs are validated on every call.  Raises
+    ValueError for L outside 0..N, a negative or non-finite lambda, an
+    empty grid, or grid entries that are not finite or lie outside [-1, 1].
     """
-    # barycentric imports check_lambda from this module, so it is loaded here
-    from .barycentric import _lebesgue_function
-
     if not 0 <= L <= rule.degree:
         raise ValueError(f"degree L must lie in 0..N = 0..{rule.degree}, got {L}")
     check_lambda(lam)
     grid = _check_grid(default_lebesgue_grid(rule) if grid is None else grid)
     if np.any(np.abs(grid) > 1.0):
         raise ValueError("grid entries must lie in [-1, 1]")
-
-    def grid_maximum():
-        if L == rule.degree:
-            return float(np.max(_lebesgue_function(rule, grid)))
-        node_vals = eval_orthonormal(rule.spec, L, rule.nodes)  # (L+1, N+1)
-        step = max(1, _KERNEL_BLOCK_ENTRIES // len(rule))
-        peak = 0.0
-        for start in range(0, grid.size, step):
-            kernel = eval_orthonormal(rule.spec, L, grid[start : start + step]).T @ node_vals
-            lebesgue_fn = np.abs(kernel, out=kernel) @ rule.weights
-            peak = max(peak, float(np.max(lebesgue_fn)))
-        return peak
-
-    key = ("lebesgue", rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
-           grid.tobytes())
-    return _lambda_free(key, grid_maximum) / (1.0 + lam)
+    return _lebesgue_peak(rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
+                          grid.tobytes()) / (1.0 + lam)

@@ -107,8 +107,8 @@ class NoiseSpec:
             except OverflowError:
                 raise ValueError(f"snr_db = {self.snr_db} overflows the noise power") from None
         else:
-            if self.c is None or not (self.c >= 0.0):
-                raise ValueError("multiplicative noise needs c >= 0")
+            if self.c is None or not (math.isfinite(self.c) and self.c >= 0.0):
+                raise ValueError(f"c must be finite and >= 0, got {self.c!r}")
 
 
 def add_noise(samples, noise: NoiseSpec) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Every test starts with an empty lambda-free memo of regularized_fit, so
+"""Every test starts with empty lambda-free caches of regularized_fit, so
 a test that compares two computations of one input computes both."""
 
 import pytest
@@ -7,5 +7,6 @@ from tikbary import regularized_fit
 
 
 @pytest.fixture(autouse=True)
-def _empty_lambda_free_memo():
-    regularized_fit._LAMBDA_FREE.clear()
+def _empty_lambda_free_caches():
+    regularized_fit._weighted_sums.cache_clear()
+    regularized_fit._lebesgue_peak.cache_clear()

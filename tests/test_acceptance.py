@@ -18,6 +18,7 @@ computed outside the package with numpy.polynomial.chebyshev.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,9 +352,10 @@ def test_criterion_13_determinism(tmp_path):
                          grid_equispaced=401, grid_chebyshev=101),
     ]
     for config in configs:
-        first = {p: open(p, "rb").read() for p in run(config)}
-        regularized_fit._LAMBDA_FREE.clear()
-        second = {p: open(p, "rb").read() for p in run(config)}
+        first = {p: Path(p).read_bytes() for p in run(config)}
+        regularized_fit._weighted_sums.cache_clear()
+        regularized_fit._lebesgue_peak.cache_clear()
+        second = {p: Path(p).read_bytes() for p in run(config)}
         assert first == second
         print(f"{config.experiment}: {len(first)} files byte-identical "
               "across reruns")

@@ -236,9 +236,10 @@ class TestRunners:
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _tiny("fig1", tmp_path, l_values=(8, 16), n_values=(32,))
-        first = {p: open(p, "rb").read() for p in run(cfg)}
-        regularized_fit._LAMBDA_FREE.clear()
-        second = {p: open(p, "rb").read() for p in run(cfg)}
+        first = {p: Path(p).read_bytes() for p in run(cfg)}
+        regularized_fit._weighted_sums.cache_clear()
+        regularized_fit._lebesgue_peak.cache_clear()
+        second = {p: Path(p).read_bytes() for p in run(cfg)}
         assert first == second
 
     def test_fig1_rejects_l_above_n(self, tmp_path):
@@ -355,7 +356,7 @@ class TestRunners:
         for lambdas in ((LAMBDA_STAR,), (0.0, LAMBDA_STAR)):
             cfg = _tiny("fig4", tmp_path / str(len(lambdas)), l_values=(12,),
                         n_values=(12,), lambdas=lambdas)
-            outputs.append([[line for line in open(p).read().splitlines()
+            outputs.append([[line for line in Path(p).read_text().splitlines()
                              if not line.startswith(("# lambdas", "# out_dir"))]
                             for p in run(cfg) if p.endswith(".csv")])
         assert outputs[0] == outputs[1]

@@ -302,6 +302,24 @@ class TestNoiseBounds:
         assert check.passed
         assert check.slack > 1.0
 
+    @pytest.mark.parametrize("check", [bound_check_l2_noise, bound_check_uniform_noise],
+                             ids=["l2", "uniform"])
+    @pytest.mark.parametrize("bad,message", [
+        (lambda clean: clean[:1] + 5.0, "does not match"),
+        (lambda clean: np.append(clean, 0.0), "does not match"),
+        (lambda clean: np.where(np.arange(clean.size) == 3, np.nan, clean), "finite"),
+        (lambda clean: np.full_like(clean, np.inf), "finite"),
+    ], ids=["one-sample", "one-too-many", "nan", "inf"])
+    def test_rejects_samples_that_do_not_fit_the_rule(self, check, bad, message):
+        # one sample broadcast against the 21 nodes passed with slack 9.31;
+        # a NaN sample gave slack nan and passed=False with no error
+        rule = gauss_rule(LEG, 21)
+        clean = f1(rule.nodes)
+        s = truncation_surrogates(LEG, 10, f1)
+        approx = fit(rule, 10, LAMBDA_STAR, clean)
+        with pytest.raises(ValueError, match=message):
+            check(f1, bad(clean), approx, rule, s.e_uniform, s.p_star_l2)
+
     def test_uniform_with_clean_samples_is_the_noise_free_bound(self):
         rule = gauss_rule(LEG, 33)
         grid = np.union1d(default_uniform_grid(), rule.nodes)

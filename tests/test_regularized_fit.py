@@ -7,6 +7,8 @@ combination of spec, degrees, and lambda.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -396,34 +398,34 @@ class TestLebesgueConstant:
         default = lebesgue_constant(rule, 200, 0.0, grid=grid)
         for rows in (64, 10**6):
             monkeypatch.setattr(regularized_fit, "_KERNEL_BLOCK_ENTRIES", rows * 401)
-            regularized_fit._LAMBDA_FREE.clear()
+            regularized_fit._lebesgue_peak.cache_clear()
             np.testing.assert_array_equal(
                 lebesgue_constant(rule, 200, 0.0, grid=grid), default)
 
 
 class TestLambdaFreeMemo:
-    """fit and lebesgue_constant compute their lambda = 0 result once per
-    input; a warm call must give the bits of a cold one, and a changed
-    input must never get a stale result."""
+    """fit and lebesgue_constant cache their lambda = 0 result per input; a
+    warm call must give the bits of a cold one, a changed input must never
+    get a stale result, and threads must not break the caches."""
 
     def test_warm_fit_is_bitwise_cold(self):
         rule = gauss_rule(LEG, 21)
         samples = _rng(21).uniform(-1.0, 1.0, 21)
         cold = fit(rule, 12, LAMBDA_STAR, samples).coefficients
-        regularized_fit._LAMBDA_FREE.clear()
+        regularized_fit._weighted_sums.cache_clear()
         fit(rule, 12, 0.0, samples)
         warm = fit(rule, 12, LAMBDA_STAR, samples).coefficients
-        assert len(regularized_fit._LAMBDA_FREE) == 1
+        assert regularized_fit._weighted_sums.cache_info()[:2] == (1, 1)
         assert warm.tobytes() == cold.tobytes()
 
     @pytest.mark.parametrize("L", [12, 20], ids=["L<N", "L=N"])
     def test_warm_lebesgue_is_bitwise_cold(self, L):
         rule = gauss_rule(LEG, 21)
         cold = lebesgue_constant(rule, L, LAMBDA_STAR)
-        regularized_fit._LAMBDA_FREE.clear()
+        regularized_fit._lebesgue_peak.cache_clear()
         lebesgue_constant(rule, L, 0.0)
         warm = lebesgue_constant(rule, L, LAMBDA_STAR)
-        assert len(regularized_fit._LAMBDA_FREE) == 1
+        assert regularized_fit._lebesgue_peak.cache_info()[:2] == (1, 1)
         assert warm.hex() == cold.hex()
 
     def test_samples_changed_in_place_are_refitted(self):
@@ -432,7 +434,7 @@ class TestLambdaFreeMemo:
         before = fit(rule, 10, 0.0, samples).coefficients
         samples[3] += 0.5
         warm = fit(rule, 10, 0.0, samples).coefficients
-        regularized_fit._LAMBDA_FREE.clear()
+        regularized_fit._weighted_sums.cache_clear()
         cold = fit(rule, 10, 0.0, samples).coefficients
         assert warm.tobytes() == cold.tobytes()
         assert not np.array_equal(warm, before)
@@ -481,8 +483,60 @@ class TestLambdaFreeMemo:
         rule = gauss_rule(CHEB, 9)
         for k in range(20):
             fit(rule, 4, 0.0, np.full(9, float(k)))
-        assert [key[-1] for key in regularized_fit._LAMBDA_FREE] \
-            == [np.full(9, float(k)).tobytes() for k in range(4, 20)]
+        info = regularized_fit._weighted_sums.cache_info()
+        assert info.currsize == info.maxsize == 16
+        fit(rule, 4, 0.0, np.full(9, 19.0))
+        assert regularized_fit._weighted_sums.cache_info().hits == info.hits + 1
+        fit(rule, 4, 0.0, np.full(9, 0.0))
+        assert regularized_fit._weighted_sums.cache_info().misses == info.misses + 1
+
+    def test_threads_get_the_bits_of_a_single_thread(self):
+        # 8 threads, each on inputs of its own, switched every microsecond:
+        # far more distinct keys than entries, so entries are evicted while
+        # other threads look theirs up
+        rule = gauss_rule(LEG, 13)
+
+        def rounds(t):
+            for r in range(100):
+                k = 100 * t + r
+                yield k % 13, np.full(13, float(k)), np.linspace(-1.0, 1.0 - 1e-4 * k, 33)
+
+        def at_lambda_star(L, samples, grid):
+            return (fit(rule, L, LAMBDA_STAR, samples).coefficients.tobytes(),
+                    lebesgue_constant(rule, L, LAMBDA_STAR, grid=grid).hex())
+
+        def results(t):
+            out = []
+            for L, samples, grid in rounds(t):
+                fit(rule, L, 0.0, samples)
+                lebesgue_constant(rule, L, 0.0, grid=grid)
+                out.append(at_lambda_star(L, samples, grid))
+            return out
+
+        # every key is new, so every call here is a cold one
+        cold = [at_lambda_star(*args) for t in range(8) for args in rounds(t)]
+        regularized_fit._weighted_sums.cache_clear()
+        regularized_fit._lebesgue_peak.cache_clear()
+        got, errors = [None] * 8, []
+
+        def worker(t):
+            try:
+                got[t] = results(t)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert [pair for out in got for pair in out] == cold
 
 
 def _kernel_lebesgue(rule, L, grid):

@@ -134,6 +134,9 @@ class TestNoiseSpec:
             NoiseSpec("multiplicative-uniform", seed=1, c=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec("multiplicative-uniform", seed=1)
+        # an infinite c was accepted, and add_noise then gave inf samples
+        with pytest.raises(ValueError, match="c must be finite and >= 0, got inf"):
+            NoiseSpec("multiplicative-uniform", seed=1, c=math.inf)
 
     def test_accepts_good_specs(self):
         NoiseSpec("additive-white-snr", seed=1, snr_db=5.0)
