@@ -20,6 +20,11 @@ the work table stays cache-sized at any N.  The block size does not change a
 bit of the output: each row of the table is reduced on its own whatever block
 it sits in, the quotient form's denominator by NumPy's pairwise sum and each
 of its numerators by one BLAS ddot against a contiguous copy of the column.
+For the same reason the blocks are cut into contiguous row shares, one per
+worker, and the shares run side by side on a small thread pool (NumPy
+releases the GIL inside each op).  The worker count is the number of CPUs
+the process may run on, at most two; the output has the same bits whatever
+it is.
 Points equal to a node never enter the table; their values, the division by
 the denominator and the zero check are done once per call over all of x.
 The numerators' last bits therefore depend on the ddot kernel of the BLAS
@@ -33,6 +38,9 @@ One rule gives every sign: the nodes are finite and strictly increasing,
 as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +60,51 @@ __all__ = [
 # beyond this many nodes raw products of ~N factors risk leaving double range
 _DIRECT_PRODUCT_LIMIT = 513
 
-# entries per (points x nodes) work table: 256 KiB of doubles, so the table
-# stays in L2; in sweeps of 8k..128k entries over fig3 at paper scale, 32k
-# to 128k ran within 7 % of each other and 8k ran slowest
-_BLOCK_ENTRIES = 32768
+# entries per (points x nodes) work table, one table per worker: 448 KiB of
+# doubles.  Serially, 32k to 128k entries ran fig3 at paper scale within 7 %
+# of each other.  Every NumPy op hands the GIL over once, so two threads
+# gain more on larger tables.  The block kernel at N = 1000, two threads
+# against one on a 2-core VM (numpy 2.4.6, OpenBLAS 0.3.31): 1.13x at 16k
+# entries, 1.39x at 32k, 1.48x at 56k, 1.63x at 64k, 1.80x at 128k.  Per op
+# at 56k: subtract 1.97x, divide 1.79x, row sum 1.46x, the ddots 0.76x.
+# Two workers' tables and temporaries stay under the 2 MiB of the
+# work-table tests; at 64k entries the Lebesgue function's did not.
+_BLOCK_ENTRIES = 57344
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# row shares per call.  Two at most: every worker holds a work table and
+# its temporaries, which for four workers broke the 2 MiB work-table tests,
+# and only two cores were measured
+_WORKERS = min(2, _cpus())
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The shared pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tikbary")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child inherits the pool but none of its threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def weights_product(nodes) -> np.ndarray:
@@ -178,26 +227,63 @@ def _block_rows(points: int, nodes: int) -> int:
 def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray):
     """Yield (rows, table): x[rows] - x_j for consecutive row blocks of x.
 
-    rows indexes x and skips hit_rows, the points equal to a node, so no
-    entry is zero and callers write each block straight into their output.
+    rows indexes x and skips hit_rows, the sorted points equal to a node, so
+    no entry is zero and callers write each block straight into their output.
     It is a slice where the block holds no hit, which spares the index array
     and its gather and scatters, a measurable share of the work at small N.
     Every table is a view of one work array of _block_rows rows, overwritten
     by the next block; a block of hits only yields nothing.
     """
-    off = np.ones(x.size, dtype=bool)
-    off[hit_rows] = False
     step = _block_rows(x.size, nodes.size)
     work = np.empty((step, nodes.size))
-    for start in range(0, x.size, step):
-        keep = off[start : start + step]
-        if keep.all():
-            rows = slice(start, start + keep.size)
+    starts = range(0, x.size, step)
+    # hit_rows[first:last] fall in the block at start
+    lasts = np.searchsorted(hit_rows, starts[1:]).tolist() + [hit_rows.size]
+    first = 0
+    for start, last in zip(starts, lasts):
+        stop = min(start + step, x.size)
+        if first == last:
+            rows = slice(start, stop)
         else:
+            keep = np.ones(stop - start, dtype=bool)
+            keep[hit_rows[first:last] - start] = False
             rows = start + np.flatnonzero(keep)
+        first = last
         points = x[rows]
         if points.size:
             yield rows, np.subtract(points[:, None], nodes, out=work[: points.size])
+
+
+def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
+    """Call body(rows, table) for every block of _difference_blocks.
+
+    x is cut into at most _WORKERS contiguous shares of x.size / _WORKERS
+    rows, rounded up, or of one block where that is more, so a call of one
+    block never reaches the pool.  The caller's thread runs the first share
+    and the pool the others, each share with a work table of its own, so
+    body must only write the rows it is given.  Every share is waited for
+    before an exception is raised.
+    """
+    share = max(_block_rows(x.size, nodes.size), -(-x.size // _WORKERS))
+
+    def run(start):
+        stop = min(start + share, x.size)
+        first, last = np.searchsorted(hit_rows, (start, stop))
+        for rows, table in _difference_blocks(nodes, x[start:stop],
+                                              hit_rows[first:last] - start):
+            if isinstance(rows, slice):
+                rows = slice(rows.start + start, rows.stop + start)
+            else:
+                rows += start
+            body(rows, table)
+
+    futures = [_executor().submit(run, start) for start in range(share, x.size, share)]
+    try:
+        run(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _node_polynomial(diffs: np.ndarray, log_c: float) -> np.ndarray:
@@ -210,7 +296,8 @@ def _node_polynomial(diffs: np.ndarray, log_c: float) -> np.ndarray:
     """
     if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
         return np.abs(np.prod(diffs, axis=1)) * np.exp(log_c)
-    return np.exp(np.sum(np.log(np.abs(diffs)), axis=1) + log_c)
+    logs = np.abs(diffs)
+    return np.exp(np.sum(np.log(logs, out=logs), axis=1) + log_c)
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
@@ -237,11 +324,14 @@ def interp_modified_lagrange(data: BarycentricData, x):
     log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
     hit_rows, hit_cols = _node_hits(data.nodes, xv)
     out = np.empty(xv.size)
-    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
+
+    def body(rows, diffs):
         above = len(data) - np.searchsorted(data.nodes, xv[rows])
         sign = np.where(above % 2, -sign_c, sign_c)
         inner = (data.weights * data.values / diffs).sum(axis=1)
         out[rows] = sign * _node_polynomial(diffs, log_c) * inner / shrink
+
+    _each_block(data.nodes, xv, hit_rows, body)
     out[hit_rows] = data.values[hit_cols] / shrink
     return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
 
@@ -270,10 +360,13 @@ def interp_barycentric(data: BarycentricData, x):
     columns = np.ascontiguousarray(values.T)
     out = np.empty((xv.size, len(columns)))  # numerators until the division
     denom = np.empty(xv.size)
-    for rows, diffs in _difference_blocks(data.nodes, xv, hit_rows):
+
+    def body(rows, diffs):
         ratios = np.divide(data.weights, diffs, out=diffs)
         denom[rows] = ratios.sum(axis=1)
         out[rows] = np.vecdot(ratios[:, None, :], columns)
+
+    _each_block(data.nodes, xv, hit_rows, body)
     # a node hit is f_j over a denominator of 1
     out[hit_rows] = values[hit_cols]
     denom[hit_rows] = 1.0
@@ -306,8 +399,11 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     log_c, _ = _product_scale_anchor(nodes, weights)
     hit_rows, _ = _node_hits(nodes, x)
     out = np.ones(x.size)
-    for rows, diffs in _difference_blocks(nodes, x, hit_rows):
+
+    def body(rows, diffs):
         node_poly = _node_polynomial(diffs, log_c)
         terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
         out[rows] = node_poly * terms.sum(axis=1)
+
+    _each_block(nodes, x, hit_rows, body)
     return out

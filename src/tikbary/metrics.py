@@ -261,8 +261,17 @@ _SLACK_TOL = -1e-9
 
 
 def bound_check_stability(approx, samples) -> BoundCheck:
-    """L2 norm of the fit against sqrt(V) max|samples| / (1 + lambda)."""
+    """L2 norm of the fit against sqrt(V) max|samples| / (1 + lambda).
+
+    ValueError unless the samples are finite and at least degree + 1 of
+    them, as many as the smallest rule a fit of that degree takes."""
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1 or samples.size < approx.degree + 1:
+        raise ValueError(
+            f"need one sample per node of the fitted rule, at least degree + 1 "
+            f"= {approx.degree + 1}; got shape {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     lhs = approx.l2_norm
     rhs = math.sqrt(approx.spec.mass) * float(np.max(np.abs(samples))) / (1.0 + approx.lam)
     slack = rhs - lhs

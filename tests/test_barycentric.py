@@ -6,6 +6,10 @@ semantics at and near nodes.
 """
 
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import mpmath
@@ -520,6 +524,133 @@ class TestBlockIndependence:
         finally:
             tracemalloc.stop()
         assert peak < got.nbytes + 9 * x.size + 2**20
+
+
+class TestRowShares:
+    """Row shares on the pool are a core-count choice: no worker count
+    changes a bit, for one caller, many callers or a forked child."""
+
+    @staticmethod
+    def _case(pts):
+        rule = gauss_rule(CHEB, pts)
+        cols = np.column_stack([f1(rule.nodes), _rng(pts).uniform(-1.0, 1.0, pts)])
+        one = BarycentricData(rule.nodes, weights_gauss(rule), cols[:, 0],
+                              LAMBDA_STAR)
+        two = BarycentricData(rule.nodes, weights_gauss(rule), cols, LAMBDA_STAR)
+        step = barycentric._block_rows(10**6, pts)
+        x = _rng(pts + 1).uniform(-0.99, 0.99, 7 * step + 5)
+        # node hits on the first and last row of every share of 2 or 3
+        rows = {0, x.size - 1}
+        for workers in (2, 3):
+            share = -(-x.size // workers)
+            rows.update(row for k in range(1, workers)
+                        for row in (k * share - 1, k * share))
+        for row in rows:
+            x[row] = rule.nodes[row % pts]
+        return {
+            "quotient": lambda x: interp_barycentric(one, x),
+            "stacked quotient": lambda x: interp_barycentric(two, x),
+            "modified lagrange": lambda x: interp_modified_lagrange(one, x),
+            "lebesgue": lambda x: barycentric._lebesgue_function(rule, x),
+        }, x
+
+    @pytest.mark.parametrize("pts", [21, 600, 1001])
+    def test_workers_change_no_bit(self, monkeypatch, pts):
+        calls, x = self._case(pts)
+        monkeypatch.setattr(barycentric, "_WORKERS", 1)
+        serial = {name: call(x) for name, call in calls.items()}
+        for workers in (2, 3):
+            monkeypatch.setattr(barycentric, "_WORKERS", workers)
+            for name, call in calls.items():
+                np.testing.assert_array_equal(call(x), serial[name],
+                                              err_msg=f"{name}, {workers} workers")
+
+    def test_threads_sharing_the_pool_get_single_thread_bits(self, monkeypatch):
+        # 8 callers, each on points of its own, switched every microsecond
+        calls, x = self._case(600)
+        points = [np.roll(x, 37 * t) for t in range(8)]
+        monkeypatch.setattr(barycentric, "_WORKERS", 1)
+        serial = [[call(p) for call in calls.values()] for p in points]
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        got, errors = [None] * 8, []
+
+        def worker(t):
+            try:
+                got[t] = [[call(points[t]) for call in calls.values()]
+                          for _ in range(5)]
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for t in range(8):
+            for rounds in got[t]:
+                for value, expected in zip(rounds, serial[t]):
+                    np.testing.assert_array_equal(value, expected)
+
+    # Python 3.12 and later warn on fork in a process with threads, which
+    # is the situation under test
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    @pytest.mark.skipif(sys.platform != "linux", reason="fork start method")
+    def test_forked_child_gets_the_parent_bits(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its threads
+        calls, x = self._case(600)
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        want = {name: call(x).tobytes() for name, call in calls.items()}
+        receive, send = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            send.send({name: call(x).tobytes() for name, call in calls.items()})
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        try:
+            assert receive.poll(60), "the forked child did not answer"
+            got = receive.recv()
+        finally:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+            receive.close()
+            send.close()
+        assert proc.exitcode == 0
+        assert got == want
+
+    def test_every_share_ends_before_an_exception(self, monkeypatch):
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        nodes = np.array([-1.0, 1.0])
+        x = np.linspace(-0.5, 0.5, 4 * barycentric._block_rows(10**6, 2))
+        half = x.size // 2
+        seen = []
+
+        def fail_first(rows, table):
+            if rows.start < half:
+                raise ArithmeticError("caller's share")
+            time.sleep(0.2)
+            seen.append(rows.stop)
+
+        with pytest.raises(ArithmeticError, match="caller's share"):
+            barycentric._each_block(nodes, x, np.empty(0, dtype=int), fail_first)
+        assert seen == [3 * half // 2, x.size]
+
+        def fail_last(rows, table):
+            if rows.start >= half:
+                raise ArithmeticError("pool's share")
+
+        with pytest.raises(ArithmeticError, match="pool's share"):
+            barycentric._each_block(nodes, x, np.empty(0, dtype=int), fail_last)
 
 
 class TestNodeHitsSkipTheTable:

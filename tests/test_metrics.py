@@ -261,6 +261,24 @@ class TestStabilityBound:
                 math.sqrt(2.0) * np.max(np.abs(samples)) / (1.0 + lam), rel=1e-14)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        rule = gauss_rule(LEG, 21)
+        samples = f1(rule.nodes)
+        approx = fit(rule, 4, LAMBDA_STAR, samples)
+        samples[7] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            bound_check_stability(approx, samples)
+
+    @pytest.mark.parametrize("samples", [[], [0.5], [[0.5] * 21]],
+                             ids=["empty", "one", "2d"])
+    def test_rejects_too_few_samples(self, samples):
+        rule = gauss_rule(LEG, 21)
+        approx = fit(rule, 4, LAMBDA_STAR, f1(rule.nodes))
+        with pytest.raises(ValueError, match="one sample per node"):
+            bound_check_stability(approx, samples)
+
+
 class TestNoiseBounds:
     def test_l2_noise_free_polynomial(self):
         rule = gauss_rule(LEG, 21)
