@@ -8,10 +8,15 @@ nodes: the design matrix satisfies A'WA = I, so
 
 lambda = 0 recovers the plain discrete least-squares projection, which is
 interpolation when L = N.  Fitting never solves a linear system.
+
+Every lambda-dependent output is its lambda = 0 value times 1/(1+lambda):
+fit, evaluate and lebesgue_constant each compute the lambda = 0 value once
+per input, keep it in an LRU cache, and divide by (1 + lambda) last.
 """
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +60,15 @@ _BLOCK_ENTRIES = 2**18
 # in lebesgue_constant's
 _LAMBDA_FREE_ENTRIES = 16
 
+# lambda = 0 values of evaluate, in an LRU cache of their own.  The bound
+# checks of one rule evaluate seven (vector, points) pairs at lambda = 0 and
+# again at lambda > 0: the clean fit on the grid, and three noisy fits on the
+# grid and at the nodes.  On the 12.8k-point bounds grid at N <= 800 a grid
+# entry holds 0.2 MiB, key and values, so the cache holds at most 1.4 MiB;
+# in the bound checks' loop at most four of its entries are grid entries,
+# 0.8 MiB
+_EVALUATE_ENTRIES = 7
+
 
 def check_lambda(lam) -> None:
     """Raise ValueError unless lam is a finite number >= 0.
@@ -78,7 +92,17 @@ def _check_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegularizedApproximant:
-    """Coefficient vector beta against the orthonormal basis of spec."""
+    """Coefficient vector beta against the orthonormal basis of spec.
+
+    It also carries the lambda-free coefficients, beta times (1 + lambda),
+    and evaluate computes the values at lambda as their lambda = 0 values
+    divided by (1 + lambda).  fit attaches its exact lambda = 0 sums; a
+    directly constructed approximant gets coefficients * (1 + lambda), which
+    is exact at lambda = 0, so evaluate sees the coefficients as they were
+    at construction.  Raises ValueError for a degree that is not an integer
+    >= 0, a coefficient vector not of length degree + 1 or not finite, also
+    times 1 + lambda, and a negative or non-finite lambda.
+    """
 
     spec: BasisSpec
     degree: int
@@ -87,10 +111,20 @@ class RegularizedApproximant:
 
     def __post_init__(self):
         check_lambda(self.lam)
+        if (isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral)
+                or self.degree < 0):
+            raise ValueError(f"degree must be an integer >= 0, got {self.degree!r}")
         coeffs = np.asarray(self.coefficients, dtype=float)
         if coeffs.shape != (self.degree + 1,):
             raise ValueError("coefficient vector must have length degree + 1")
+        with np.errstate(over="ignore"):
+            lambda_free = coeffs * (1.0 + self.lam)
+        # finite times (1 + lambda) implies finite, NaN staying NaN
+        if not np.all(np.isfinite(lambda_free)):
+            raise ValueError("coefficients must be finite, also times 1 + lambda")
         object.__setattr__(self, "coefficients", coeffs)
+        lambda_free.setflags(write=False)
+        object.__setattr__(self, "_lambda_free", lambda_free)
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -135,6 +169,8 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
     weights and the samples, and is thread-safe.  Inputs are validated on
     every call, and every call divides the sums by (1 + lambda) last, into
     a new array, so a cached result has the bits of a fresh computation.
+    The approximant carries the sums themselves as its lambda-free
+    coefficients, for evaluate.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -145,9 +181,12 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
         )
     check_lambda(lam)
     samples = _check_samples(rule, samples)
-    beta = _weighted_sums(rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
-                          samples.tobytes()) / (1.0 + lam)
-    return RegularizedApproximant(spec=rule.spec, degree=L, lam=lam, coefficients=beta)
+    sums = _weighted_sums(rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
+                          samples.tobytes())
+    approx = RegularizedApproximant(spec=rule.spec, degree=L, lam=lam,
+                                    coefficients=sums / (1.0 + lam))
+    object.__setattr__(approx, "_lambda_free", sums)
+    return approx
 
 
 def _blocked_values(spec: BasisSpec, coefficients: np.ndarray, x: np.ndarray):
@@ -185,16 +224,33 @@ def _values(spec: BasisSpec, coefficients: np.ndarray, x: np.ndarray) -> np.ndar
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
+@functools.lru_cache(maxsize=_EVALUATE_ENTRIES)
+def _lambda_free_values(spec: BasisSpec, coefficients: bytes, x: bytes) -> np.ndarray:
+    """The lambda = 0 values sum_l beta_l p_l(x), read-only, from the bytes
+    of the lambda-free coefficients and of the 1-d x."""
+    values = _values(spec, np.frombuffer(coefficients)[:, None], np.frombuffer(x))[0]
+    values.setflags(write=False)
+    return values
+
+
 def evaluate(approx: RegularizedApproximant, x):
-    """Evaluate sum_l beta_l p_l(x): the one-column case of _blocked_values.
+    """Evaluate sum_l beta_l p_l(x) as the lambda = 0 values of the
+    approximant's lambda-free coefficients divided by (1 + lambda), as
+    metrics._fit_cells does; the one-column case of _blocked_values.
 
     Degree rows are folded in by chunks of _DEGREE_CHUNK with one BLAS
     product each, in blocks of at most _BLOCK_ENTRIES // (1 + _DEGREE_CHUNK)
     points, so the last bits depend on the BLAS kernel; reruns on one
-    machine are bitwise equal.  x may have any shape; a scalar gives a float.
+    machine are bitwise equal.  The lambda = 0 values do not depend on
+    lambda: an LRU cache keeps the 7 most recently used, at most 1.4 MiB
+    on the 12.8k-point bound-check grid, keyed by the spec and the bytes of
+    the lambda-free coefficients and of the raveled x, and is thread-safe.  Every call divides by (1 + lambda) last, into a new
+    array, so a cached result has the bits of a fresh computation.  x may
+    have any shape; a scalar gives a float.
     """
     x = np.asarray(x, dtype=float)
-    values = _values(approx.spec, approx.coefficients[:, None], x.ravel())[0]
+    values = _lambda_free_values(approx.spec, approx._lambda_free.tobytes(),
+                                 x.ravel().tobytes()) / (1.0 + approx.lam)
     return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
 
 

@@ -129,6 +129,15 @@ class TestDataValidation:
         with pytest.raises(ValueError):
             BarycentricData(nodes, w[:2], v)
 
+    @pytest.mark.parametrize("nodes", [[-0.5, -0.5, 0.5], [-0.5, 0.5, 0.5],
+                                       [-0.0, 0.0, 0.5]],
+                             ids=["first-pair", "last-pair", "signed-zeros"])
+    def test_rejects_repeated_nodes(self, nodes):
+        # equal neighbours put a zero x - x_j into every node's table
+        w = np.array([0.5, -1.0, 0.5])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            BarycentricData(np.array(nodes), w, np.ones(3))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_nodes(self, bad):
         # a NaN node passes the strictly-increasing test, since every

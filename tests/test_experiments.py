@@ -239,6 +239,7 @@ class TestRunners:
         first = {p: Path(p).read_bytes() for p in run(cfg)}
         regularized_fit._weighted_sums.cache_clear()
         regularized_fit._lebesgue_peak.cache_clear()
+        regularized_fit._lambda_free_values.cache_clear()
         second = {p: Path(p).read_bytes() for p in run(cfg)}
         assert first == second
 

@@ -24,7 +24,7 @@ from tikbary.metrics import (
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import (RegularizedApproximant, continuum_limit_fit,
                                     evaluate, fit, lebesgue_constant)
-from tikbary.signals import NoiseSpec, f1, make_generator
+from tikbary.signals import NoiseSpec, add_noise, f1, make_generator
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
@@ -278,6 +278,87 @@ class TestStabilityBound:
         with pytest.raises(ValueError, match="one sample per node"):
             bound_check_stability(approx, samples)
 
+    def test_degree_plus_one_samples_are_enough(self):
+        # as many samples as the smallest rule a degree-4 fit takes; kills
+        # degree - 1 and degree + 2 in the guard
+        rule = gauss_rule(LEG, 21)
+        approx = fit(rule, 4, LAMBDA_STAR, f1(rule.nodes))
+        samples = np.array([0.5, -2.0, 1.0, 0.25, -1.5])
+        check = bound_check_stability(approx, samples)
+        assert check.rhs == pytest.approx(math.sqrt(2.0) * 2.0 / (1.0 + LAMBDA_STAR),
+                                          rel=1e-14)
+        with pytest.raises(ValueError, match="at least degree \\+ 1 = 5"):
+            bound_check_stability(approx, samples[:4])
+
+
+def _values(approx, x):
+    """The approximant at x from the dense basis table, not through evaluate."""
+    return approx.coefficients @ eval_orthonormal(approx.spec, approx.degree, x)
+
+
+def _noisy_fit(spec, points, L, lam):
+    rule = gauss_rule(spec, points)
+    noisy = add_noise(f1(rule.nodes), NoiseSpec("additive-white-snr", seed=11, snr_db=5.0))
+    return rule, noisy, fit(rule, L, lam, noisy)
+
+
+class TestBoundFormulas:
+    """Each bound's rhs against the paper's formula, recomputed here, and its
+    slack as rhs - lhs.  E and ||p*|| take arbitrary distinct values, so a
+    wrong factor on either term shows; lambda = LAMBDA_STAR tells 1 + lambda
+    from 1 - lambda, which lambda = 0 does not."""
+
+    E, P_NORM = 0.0375, 1.625
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR], ids=["lambda=0", "lambda*"])
+    def test_stability(self, lam):
+        # rhs = sqrt(mass) max|f_j| / (1 + lambda), mass = pi for Chebyshev;
+        # kills slack = rhs + lhs and 1/(1 - lambda)
+        rule, noisy, approx = _noisy_fit(CHEB, 41, 30, lam)
+        check = bound_check_stability(approx, noisy)
+        assert check.rhs == pytest.approx(
+            math.sqrt(math.pi) * np.max(np.abs(noisy)) / (1.0 + lam), rel=1e-14)
+        assert check.lhs == pytest.approx(math.sqrt(math.fsum(approx.coefficients**2)),
+                                          rel=1e-14)
+        assert check.slack == check.rhs - check.lhs
+        assert check.passed
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR], ids=["lambda=0", "lambda*"])
+    def test_l2_noise(self, lam):
+        # rhs = sqrt(mass)/(1 + lambda) sup-noise + (1 + 1/(1 + lambda)) E
+        #       + lambda/(1 + lambda) ||p*||, mass = 2 for Legendre;
+        # kills 1/(1 - lambda), (1 - 1/(1 + lambda)) and slack = rhs + lhs
+        rule, noisy, approx = _noisy_fit(LEG, 41, 30, lam)
+        noise_sup = np.max(np.abs(f1(rule.nodes) - noisy))
+        resid = f1(rule.nodes) - _values(approx, rule.nodes)
+        check = bound_check_l2_noise(f1, noisy, approx, rule, self.E, self.P_NORM)
+        assert check.rhs == pytest.approx(
+            math.sqrt(2.0) / (1.0 + lam) * noise_sup + (1.0 + 1.0 / (1.0 + lam)) * self.E
+            + lam / (1.0 + lam) * self.P_NORM, rel=1e-14)
+        assert check.lhs == pytest.approx(
+            math.sqrt(math.fsum(rule.weights * resid * resid)), rel=1e-12)
+        assert check.slack == check.rhs - check.lhs
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR], ids=["lambda=0", "lambda*"])
+    def test_uniform_noise(self, lam):
+        # rhs = Lam sup-noise + (1 + Lam) E + lambda/(1 + lambda) ||p*||_inf,
+        # Lam the Lebesgue constant at lambda over the grid; kills (1 - Lam) E,
+        # lambda/(1 - lambda) and slack = rhs + lhs
+        rule, noisy, approx = _noisy_fit(CHEB, 33, 20, lam)
+        grid = np.union1d(np.linspace(-1.0, 1.0, 401), rule.nodes)
+        noise_sup = np.max(np.abs(f1(rule.nodes) - noisy))
+        lhs = np.max(np.abs(f1(grid) - _values(approx, grid)))
+        for lebesgue in (None, 2.75):
+            check = bound_check_uniform_noise(f1, noisy, approx, rule, self.E,
+                                              self.P_NORM, grid=grid, lebesgue=lebesgue)
+            leb = lebesgue_constant(rule, 20, lam, grid=grid) \
+                if lebesgue is None else lebesgue
+            assert check.rhs == pytest.approx(
+                leb * noise_sup + (1.0 + leb) * self.E
+                + lam / (1.0 + lam) * self.P_NORM, rel=1e-14)
+            assert check.lhs == pytest.approx(lhs, rel=1e-12)
+            assert check.slack == check.rhs - check.lhs
+
 
 class TestNoiseBounds:
     def test_l2_noise_free_polynomial(self):
@@ -296,7 +377,6 @@ class TestNoiseBounds:
 
     def test_l2_noisy_high_degree(self):
         rule = gauss_rule(CHEB, 201)
-        from tikbary.signals import add_noise
         noisy = add_noise(f1(rule.nodes),
                           NoiseSpec("additive-white-snr", seed=6, snr_db=5.0))
         grid = np.union1d(default_uniform_grid(), rule.nodes)
@@ -309,7 +389,6 @@ class TestNoiseBounds:
 
     def test_uniform_noisy_high_degree(self):
         rule = gauss_rule(CHEB, 201)
-        from tikbary.signals import add_noise
         noisy = add_noise(f1(rule.nodes),
                           NoiseSpec("additive-white-snr", seed=6, snr_db=5.0))
         grid = np.union1d(default_uniform_grid(), rule.nodes)

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from oracles import normal_equations_oracle, per_column_values_oracle
 from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
-from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
+from tikbary.metrics import (LAMBDA_STAR, bound_check_l2_noise, bound_check_stability,
+                             bound_check_uniform_noise, default_uniform_grid,
+                             truncation_surrogates)
 from tikbary.quadrature import QuadratureRule, gauss_rule
 from tikbary.regularized_fit import (
     RegularizedApproximant,
@@ -32,7 +34,7 @@ from tikbary.regularized_fit import (
     gram_matrix_residual,
     lebesgue_constant,
 )
-from tikbary.signals import f1
+from tikbary.signals import NoiseSpec, add_noise, f1
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
@@ -279,6 +281,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             RegularizedApproximant(LEG, 3, -1.0, np.zeros(4))
 
+    @pytest.mark.parametrize("degree,coefficients", [
+        (-1, np.zeros(0)), (2.0, np.zeros(3)), (True, np.zeros(2)), ("2", np.zeros(3)),
+    ], ids=["negative", "float", "bool", "str"])
+    def test_approximant_rejects_a_degree_that_is_no_integer_ge_0(self, degree,
+                                                                 coefficients):
+        # degree -1 with no coefficients, and degree 2.0 with three, were
+        # accepted, and evaluate then raised a bare IndexError or TypeError
+        with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+            RegularizedApproximant(LEG, degree, 0.0, coefficients)
+
+    def test_approximant_accepts_numpy_integer_degrees(self):
+        approx = RegularizedApproximant(LEG, np.int64(3), 0.0, np.ones(4))
+        assert evaluate(approx, 1.0) == evaluate(
+            RegularizedApproximant(LEG, 3, 0.0, np.ones(4)), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_approximant_rejects_non_finite_coefficients(self, bad):
+        # evaluate and l2_norm returned NaN for them
+        coefficients = np.zeros(4)
+        coefficients[2] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            RegularizedApproximant(LEG, 3, 0.0, coefficients)
+
+    def test_approximant_rejects_coefficients_that_overflow_times_one_plus_lambda(self):
+        # the lambda-free coefficients are coefficients * (1 + lambda)
+        RegularizedApproximant(LEG, 0, 0.0, np.array([1e308]))
+        with pytest.raises(ValueError, match="also times 1 \\+ lambda"):
+            RegularizedApproximant(LEG, 0, 1.0, np.array([1e308]))
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_nonfinite_lambda_is_rejected(self, lam):
         rule = gauss_rule(LEG, 9)
@@ -321,6 +352,15 @@ class TestContinuumLimit:
             expected[3] = 1.0 / (1.0 + lam)
             np.testing.assert_allclose(approx.coefficients, expected,
                                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spec,L,lam", [(CHEB, 5, 0.0), (LEG, 12, LAMBDA_STAR)],
+                             ids=["chebyshev1", "legendre"])
+    def test_is_the_fit_on_a_rule_of_4L_plus_16_points(self, spec, L, lam):
+        # a rule of 4L + 17 points gives other bits
+        rule = gauss_rule(spec, 4 * L + 16)
+        want = fit(rule, L, lam, f1(rule.nodes)).coefficients
+        assert continuum_limit_fit(spec, L, lam, f1).coefficients.tobytes() \
+            == want.tobytes()
 
     def test_fits_approach_the_limit(self):
         limit = continuum_limit_fit(CHEB, 20, 0.0, f1)
@@ -537,6 +577,152 @@ class TestLambdaFreeMemo:
             sys.setswitchinterval(interval)
         assert errors == []
         assert [pair for out in got for pair in out] == cold
+
+
+class TestLambdaFreeValues:
+    """evaluate keeps the lambda = 0 values of the approximant's lambda-free
+    coefficients per x and divides them by (1 + lambda) last: the output at
+    lambda must be the lambda = 0 output times 1/(1+lambda), bit for bit, a
+    warm call must give the bits of a cold one, and a changed x must never
+    get stale values."""
+
+    @pytest.mark.parametrize("spec", [CHEB, LEG], ids=["chebyshev1", "legendre"])
+    def test_output_at_lambda_is_the_lambda_free_output_shrunk(self, spec):
+        # the coefficients times (1 + lambda) are not the lambda = 0 sums bit
+        # for bit, so fit must hand evaluate its sums
+        rule = gauss_rule(spec, 41)
+        x = _rng(30).uniform(-1.0, 1.0, (7, 11))
+        for seed in range(4):
+            samples = _rng(31 + seed).uniform(-1.0, 1.0, 41)
+            for L in (12, 40):
+                base = evaluate(fit(rule, L, 0.0, samples), x)
+                for lam in LAMBDAS:
+                    regularized_fit._lambda_free_values.cache_clear()
+                    cold = evaluate(fit(rule, L, lam, samples), x)
+                    assert cold.tobytes() == (base / (1.0 + lam)).tobytes()
+
+    def test_fit_carries_its_lambda_free_sums(self):
+        rule = gauss_rule(CHEB, 33)
+        samples = _rng(35).uniform(-1.0, 1.0, 33)
+        sums = fit(rule, 20, 0.0, samples).coefficients
+        approx = fit(rule, 20, LAMBDA_STAR, samples)
+        assert approx._lambda_free.tobytes() == sums.tobytes()
+        assert approx(0.25) == evaluate(fit(rule, 20, 0.0, samples), 0.25) \
+            / (1.0 + LAMBDA_STAR)
+
+    def test_direct_approximant_uses_coefficients_times_one_plus_lambda(self):
+        # exact at lambda = 0, where the values are the coefficients' own sum
+        coefficients = _rng(36).uniform(-1.0, 1.0, 31)
+        x = np.linspace(-1.0, 1.0, 257)
+        plain = RegularizedApproximant(LEG, 30, 0.0, coefficients)
+        assert evaluate(plain, x).tobytes() \
+            == regularized_fit._values(LEG, coefficients[:, None], x)[0].tobytes()
+        shrunk = RegularizedApproximant(LEG, 30, LAMBDA_STAR, coefficients)
+        scaled = RegularizedApproximant(LEG, 30, 0.0, coefficients * (1.0 + LAMBDA_STAR))
+        assert evaluate(shrunk, x).tobytes() \
+            == (evaluate(scaled, x) / (1.0 + LAMBDA_STAR)).tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    def test_warm_values_are_bitwise_cold_and_belong_to_the_caller(self, lam):
+        rule = gauss_rule(CHEB, 33)
+        approx = fit(rule, 20, lam, _rng(37).uniform(-1.0, 1.0, 33))
+        grid = np.linspace(-1.0, 1.0, 501)
+        first = evaluate(approx, grid)
+        cold = first.tobytes()
+        first[:] = 7.0
+        warm = evaluate(approx, grid)
+        assert regularized_fit._lambda_free_values.cache_info()[:2] == (1, 1)
+        assert warm.tobytes() == cold
+        assert warm.flags.writeable and warm is not first
+
+    def test_points_changed_in_place_are_evaluated_afresh(self):
+        rule = gauss_rule(LEG, 21)
+        approx = fit(rule, 20, LAMBDA_STAR, _rng(38).uniform(-1.0, 1.0, 21))
+        x = np.linspace(-1.0, 1.0, 101)
+        before = evaluate(approx, x)
+        x[3] = 0.123
+        warm = evaluate(approx, x)
+        regularized_fit._lambda_free_values.cache_clear()
+        cold = evaluate(approx, x)
+        assert warm.tobytes() == cold.tobytes()
+        assert warm[3] != before[3]
+        np.testing.assert_array_equal(np.delete(warm, 3), np.delete(before, 3))
+
+    def test_bound_checks_evaluate_each_vector_once_per_points(self):
+        # the loop of the bound checks: per rule, the truncation surrogate,
+        # then at both lambdas the clean fit on the grid and three noisy fits
+        # on the grid and at the nodes.  Eight distinct (vector, points)
+        # pairs per rule, seven of them evaluated again at lambda > 0
+        for L, N in ((20, 20), (10, 30)):
+            rule = gauss_rule(CHEB, N + 1)
+            grid = np.union1d(np.linspace(-1.0, 1.0, 301), rule.nodes)
+            clean = f1(rule.nodes)
+            surr = truncation_surrogates(CHEB, L, f1, grid=grid)
+            noisy = [add_noise(clean, NoiseSpec("additive-white-snr", seed, snr_db=5.0))
+                     for seed in range(3)]
+            for lam in (0.0, LAMBDA_STAR):
+                leb = lebesgue_constant(rule, L, lam, grid=grid)
+                bound_check_uniform_noise(f1, clean, fit(rule, L, lam, clean), rule,
+                                          surr.e_uniform, surr.p_star_inf,
+                                          grid=grid, lebesgue=leb)
+                for samples in noisy:
+                    approx = fit(rule, L, lam, samples)
+                    bound_check_stability(approx, samples)
+                    bound_check_l2_noise(f1, samples, approx, rule,
+                                         surr.e_uniform, surr.p_star_l2)
+                    bound_check_uniform_noise(f1, samples, approx, rule,
+                                              surr.e_uniform, surr.p_star_inf,
+                                              grid=grid, lebesgue=leb)
+        info = regularized_fit._lambda_free_values.cache_info()
+        assert (info.misses, info.hits) == (2 * 8, 2 * 7)
+
+    def test_threads_get_the_bits_of_a_single_thread(self):
+        # 8 threads, each on inputs of its own, switched every microsecond:
+        # far more distinct keys than entries, so entries are evicted while
+        # other threads look theirs up
+        rule = gauss_rule(LEG, 13)
+
+        def rounds(t):
+            for r in range(100):
+                k = 100 * t + r
+                yield k % 13, _rng(k).uniform(-1.0, 1.0, 13), \
+                    np.linspace(-1.0, 1.0 - 1e-4 * k, 33)
+
+        def at_lambda_star(L, samples, x):
+            return evaluate(fit(rule, L, LAMBDA_STAR, samples), x).tobytes()
+
+        def results(t):
+            out = []
+            for L, samples, x in rounds(t):
+                evaluate(fit(rule, L, 0.0, samples), x)
+                out.append(at_lambda_star(L, samples, x))
+            return out
+
+        # every key is new, so every call here is a cold one
+        cold = [at_lambda_star(*args) for t in range(8) for args in rounds(t)]
+        regularized_fit._weighted_sums.cache_clear()
+        regularized_fit._lambda_free_values.cache_clear()
+        got, errors = [None] * 8, []
+
+        def worker(t):
+            try:
+                got[t] = results(t)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [value for out in got for value in out] == cold
 
 
 def _kernel_lebesgue(rule, L, grid):
