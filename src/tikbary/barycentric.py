@@ -13,13 +13,14 @@ the classical interpolant; lambda > 0 multiplies it by 1/(1+lambda).
 
 The quotient form also takes k sample vectors at once, stacked as the
 columns of an (N+1, k) values array: one pass over the Cauchy table
-W_j/(x - x_j) serves every column.
+1/(x - x_j) serves the denominator and every column.
 
 Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
 the work table stays cache-sized at any N.  The block size does not change a
 bit of the output: each row of the table is reduced on its own whatever block
-it sits in, the quotient form's denominator by NumPy's pairwise sum and each
-of its numerators by one BLAS ddot against a contiguous copy of the column.
+it sits in.  The quotient form's denominator and each of its numerators are
+one BLAS ddot of a row of Cauchy entries against a contiguous row, W or
+W * f_c, built once per call.
 For the same reason the blocks are cut into contiguous row shares, one per
 worker, and the shares run side by side on a small thread pool (NumPy
 releases the GIL inside each op).  The worker count is the number of CPUs
@@ -27,8 +28,8 @@ the process may run on, at most two; the output has the same bits whatever
 it is.
 Points equal to a node never enter the table; their values, the division by
 the denominator and the zero check are done once per call over all of x.
-The numerators' last bits therefore depend on the ddot kernel of the BLAS
-NumPy is linked against, as the coefficients of regularized_fit.fit
+The quotient form's last bits therefore depend on the ddot kernel of the
+BLAS NumPy is linked against, as the coefficients of regularized_fit.fit
 (wf @ p) already do: reruns on one machine are bitwise equal.
 
 The Lebesgue function of interpolation in Gauss points, sum_j |l_j(x)|,
@@ -66,9 +67,11 @@ _DIRECT_PRODUCT_LIMIT = 513
 # gain more on larger tables.  The block kernel at N = 1000, two threads
 # against one on a 2-core VM (numpy 2.4.6, OpenBLAS 0.3.31): 1.13x at 16k
 # entries, 1.39x at 32k, 1.48x at 56k, 1.63x at 64k, 1.80x at 128k.  Per op
-# at 56k: subtract 1.97x, divide 1.79x, row sum 1.46x, the ddots 0.76x.
-# Two workers' tables and temporaries stay under the 2 MiB of the
-# work-table tests; at 64k entries the Lebesgue function's did not.
+# on 57 x 1001 tables, each thread looping over its own: subtract 1.6-2.1x,
+# reciprocal 1.8-1.9x, row sum 1.1-1.7x, but the BLAS-backed reductions do
+# not overlap, vecdot 0.8-1.0x and a GEMM (@) 0.96-1.06x.  Two workers'
+# tables and temporaries stay under the 2 MiB of the work-table tests; at
+# 64k entries the Lebesgue function's did not.
 _BLOCK_ENTRIES = 57344
 
 
@@ -142,11 +145,36 @@ def weights_gauss(rule: QuadratureRule) -> np.ndarray:
     the quotient form needs; the modified Lagrange form re-anchors the scale
     itself.  For Chebyshev first kind the sweep takes the two-pass step
     T_{k+1} = 2x T_k - T_{k-1} from k = 2 on (second kind from k = 1),
-    which gives the bits of the general step at the nodes.
+    which gives the bits of the general step at the nodes.  This is the
+    one-rule case of _weights_gauss_rules.
     """
-    for phi_n in _orthonormal_rows(rule.spec, rule.degree, rule.nodes):
-        pass
-    return rule.weights * phi_n
+    return _weights_gauss_rules([rule])[0]
+
+
+def _weights_gauss_rules(rules) -> list:
+    """weights_gauss of every rule, in order, from one recurrence sweep.
+
+    The rules share one spec; their degrees may repeat and come in any
+    order.  The sweep runs to the largest degree over all their nodes at
+    once and takes each rule's p_N from its own slice at step N.  Every
+    step of the recurrence is elementwise, so each result is bitwise the
+    sweep over that rule's nodes alone, at the cost of one Python-level
+    step per degree instead of one per degree per rule.
+    """
+    spec = rules[0].spec
+    if any(rule.spec != spec for rule in rules):
+        raise ValueError("the rules must share one basis spec")
+    ends = np.cumsum([len(rule) for rule in rules]).tolist()
+    starts = [0] + ends[:-1]
+    by_degree = {}
+    for i, rule in enumerate(rules):
+        by_degree.setdefault(rule.degree, []).append(i)
+    x = np.concatenate([rule.nodes for rule in rules])
+    out = [None] * len(rules)
+    for n, phi_n in enumerate(_orthonormal_rows(spec, max(by_degree), x)):
+        for i in by_degree.get(n, ()):
+            out[i] = rules[i].weights * phi_n[starts[i]:ends[i]]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,38 +373,44 @@ def interp_barycentric(data: BarycentricData, x):
     real distinct nodes with alternating weights the denominator cannot
     vanish off the nodes; a zero there means corrupted data and raises.
 
+    Each row block costs three full-table ops: the differences x - x_j, the
+    Cauchy entries c_j = 1/(x - x_j) in their place, and one vecdot of those
+    against the k+1 rows W and W * f_c.  So p = sum_j c_j (W_j f_j) /
+    sum_j c_j W_j, the denominator and every numerator each one ddot.
+
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
-    column c is bitwise the result for values[:, c] alone: every numerator
-    is one per-row ddot in a single vecdot call, each against a row of the
-    contiguous copy of values.T, so ddot sees unit stride whatever k is.
+    column c is bitwise the result for values[:, c] alone: the rows are
+    contiguous whatever k and the layout of values are, so ddot sees unit
+    stride.  The result is a view whose base also holds the denominators,
+    8 bytes a point.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     xv = x.ravel()
-    shrink = 1.0 + data.lam
     values = data.values.reshape(len(data), -1)
     hit_rows, hit_cols = _node_hits(data.nodes, xv)
-    columns = np.ascontiguousarray(values.T)
-    out = np.empty((xv.size, len(columns)))  # numerators until the division
-    denom = np.empty(xv.size)
+    weighted = np.empty((1 + values.shape[1], len(data)))  # W, then W * f_c
+    weighted[0] = data.weights
+    np.multiply(values.T, data.weights, out=weighted[1:])
+    dots = np.empty((len(weighted), xv.size))
 
     def body(rows, diffs):
-        ratios = np.divide(data.weights, diffs, out=diffs)
-        denom[rows] = ratios.sum(axis=1)
-        out[rows] = np.vecdot(ratios[:, None, :], columns)
+        cauchy = np.divide(1.0, diffs, out=diffs)
+        dots[:, rows] = np.vecdot(cauchy[:, None, :], weighted).T
 
     _each_block(data.nodes, xv, hit_rows, body)
+    denom, out = dots[0], dots[1:]
     # a node hit is f_j over a denominator of 1
-    out[hit_rows] = values[hit_cols]
+    out[:, hit_rows] = values[hit_cols].T
     denom[hit_rows] = 1.0
     if np.any(denom == 0.0):
         raise RuntimeError(
             "barycentric denominator vanished off-node; weights are inconsistent"
         )
-    denom *= shrink
-    out /= denom[:, None]
-    out = out.reshape(x.shape + data.values.shape[1:])
+    denom *= 1.0 + data.lam
+    out /= denom
+    out = out.T.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,9 +18,14 @@ from itertools import groupby
 import numpy as np
 
 from ._version import __version__
-from .barycentric import BarycentricData, interp_barycentric, weights_gauss
+from .barycentric import (
+    BarycentricData,
+    _weights_gauss_rules,
+    interp_barycentric,
+    weights_gauss,
+)
 from .basis import BasisSpec
-from .configfile import render_value
+from .configfile import parse_config_text, render_value
 from .csvio import render_table
 from .metrics import (
     LAMBDA_STAR,
@@ -114,6 +119,21 @@ class ExperimentConfig:
             if value < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
             object.__setattr__(self, key, value)
+        # the CSV metadata echoes out_dir on one line, and a config file
+        # must give it back: no line break ("" is no line at all), no
+        # comment, no value of another type such as 12, true, none or [a],
+        # no outer blanks
+        out_dir = self.out_dir
+        echoed = isinstance(out_dir, str) and out_dir.splitlines() == [out_dir]
+        if echoed:
+            try:
+                text = f"out_dir = {render_value(out_dir)}"
+                echoed = parse_config_text(text) == {"out_dir": out_dir}
+            except ValueError:  # "[a" is an unterminated array
+                echoed = False
+        if not echoed:
+            raise ValueError(f"out_dir must be a nonempty path on one line that a "
+                             f"config file gives back unchanged, got {out_dir!r}")
 
     def to_mapping(self) -> dict:
         out = {}
@@ -306,8 +326,10 @@ def run_fig3(config: ExperimentConfig) -> list:
     grid = _grid(config)
     f_grid = np.asarray(f(grid), dtype=float)
     reports = []
-    for i, N in enumerate(config.n_values):
-        rule = gauss_rule(spec, N + 1)
+    rules = [gauss_rule(spec, N + 1) for N in config.n_values]
+    # every rule's weights from one recurrence sweep
+    weights = _weights_gauss_rules(rules)
+    for i, (N, rule) in enumerate(zip(config.n_values, rules)):
         clean = np.asarray(f(rule.nodes), dtype=float)
         noise = _noise_from_config(config, i)
         noises = (None,) if noise is None else (None, noise)
@@ -316,7 +338,7 @@ def run_fig3(config: ExperimentConfig) -> list:
         # every sample vector in one pass per point set, at lambda = 0; each
         # lambda is then the scalar 1/(1+lambda)
         samples = [clean if n is None else add_noise(clean, n) for n in noises]
-        data = BarycentricData(rule.nodes, weights_gauss(rule), np.column_stack(samples))
+        data = BarycentricData(rule.nodes, weights[i], np.column_stack(samples))
         p_grid = interp_barycentric(data, grid)
         p_l2 = interp_barycentric(data, l2r.nodes)
         for c, column_noise in enumerate(noises):

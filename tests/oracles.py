@@ -2,12 +2,14 @@
 
 None of these is on a path the package runs: the dense normal-equations
 solve cross-checks the closed-form fit, the degree-by-degree sum cross-checks
-the blocked GEMM values of evaluate, and the Christoffel-Darboux kernel in
-direct and quotient form cross-checks the basis recurrence.
+the blocked GEMM values of evaluate, the Christoffel-Darboux kernel in
+direct and quotient form cross-checks the basis recurrence, and the 50-digit
+quotient form cross-checks the barycentric kernel.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -66,3 +68,28 @@ def cd_kernel_quotient(spec, L: int, x, y) -> np.ndarray:
     py = eval_orthonormal(spec, L + 1, y)
     num = px[L + 1] * py[L] - px[L] * py[L + 1]
     return norm_ratio(spec, L) * num / (x - y)
+
+
+def quotient_form_oracle(nodes, weights, values, x, dps: int = 50) -> np.ndarray:
+    """sum_j W_j f_j/(x - x_j) / sum_j W_j/(x - x_j) at dps significant digits.
+
+    The float nodes, weights, (N+1, k) values and points are taken as exact,
+    so the result isolates the rounding of a float evaluation of the same
+    data.  A point equal to a node gives that node's samples.  Returns the
+    (|x|, k) values rounded to doubles.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(nodes), -1)
+    out = np.empty((len(x), values.shape[1]))
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(v)) for v in nodes]
+        ws = [mpmath.mpf(float(v)) for v in weights]
+        columns = [[mpmath.mpf(float(v)) for v in col] for col in values.T]
+        for i, point in enumerate(x):
+            t = mpmath.mpf(float(point))
+            if t in xs:
+                out[i] = values[xs.index(t)]
+                continue
+            cauchy = [w / (t - x_j) for w, x_j in zip(ws, xs)]
+            denominator = mpmath.fsum(cauchy)
+            out[i] = [float(mpmath.fdot(cauchy, f) / denominator) for f in columns]
+    return out

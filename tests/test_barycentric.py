@@ -20,16 +20,20 @@ import tikbary.barycentric as barycentric
 from tikbary.barycentric import (
     BarycentricData,
     _node_hits,
+    _weights_gauss_rules,
     interp_barycentric,
     interp_modified_lagrange,
     weights_gauss,
     weights_product,
 )
-from tikbary.basis import BasisSpec
+from tikbary import experiments
+from tikbary.basis import BasisSpec, _orthonormal_rows
 from tikbary.metrics import LAMBDA_STAR
 from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import evaluate, fit
-from tikbary.signals import f1
+from tikbary.signals import add_noise, f1, f3
+
+from oracles import quotient_form_oracle
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
@@ -102,6 +106,37 @@ class TestWeightsGauss:
         ratio = weights_gauss(rule) / pattern
         med = np.median(ratio)
         assert np.max(np.abs(ratio - med)) <= 1e-12 * abs(med)
+
+
+class TestWeightsGaussRules:
+    """Many rules' weights from one recurrence sweep, bitwise the per-rule
+    sweeps: every step of the recurrence is elementwise."""
+
+    @staticmethod
+    def _own_sweep(rule):
+        for phi_n in _orthonormal_rows(rule.spec, rule.degree, rule.nodes):
+            pass
+        return rule.weights * phi_n
+
+    # Chebyshev first kind takes the two-pass step from k = 2 on, second kind
+    # (jacobi(0.5,0.5)) from k = 1; Legendre and the asymmetric spec never
+    @pytest.mark.parametrize("spec", [CHEB, BasisSpec(0.5, 0.5), LEG,
+                                      BasisSpec(0.3, -0.25)],
+                             ids=["chebyshev1", "jacobi0.5_0.5", "legendre",
+                                  "jacobi0.3_m0.25"])
+    def test_bitwise_the_per_rule_weights(self, spec):
+        # mixed, repeated and unsorted degrees, down to one node
+        degrees = [40, 1, 7, 0, 7, 300, 2, 41, 1]
+        rules = [gauss_rule(spec, n + 1) for n in degrees]
+        got = _weights_gauss_rules(rules)
+        assert len(got) == len(rules)
+        for rule, weights in zip(rules, got):
+            np.testing.assert_array_equal(weights, self._own_sweep(rule))
+            np.testing.assert_array_equal(weights, weights_gauss(rule))
+
+    def test_rules_must_share_a_spec(self):
+        with pytest.raises(ValueError, match="one basis spec"):
+            _weights_gauss_rules([gauss_rule(CHEB, 5), gauss_rule(LEG, 5)])
 
 
 class TestDataValidation:
@@ -512,8 +547,10 @@ class TestBlockIndependence:
                                       "modified lagrange", "lebesgue"])
     def test_memory_scales_with_the_output(self, form):
         # far more points than the fig3 grid: beyond the output, only a
-        # denominator (8 bytes a point) and a byte mask of the node hits may
-        # grow with x, never a second copy of the points or of the output
+        # denominator (8 bytes a point) may grow with x, never a second copy
+        # of the points or of the output.  The node-hit search's index, gather
+        # and mask arrays (17 bytes a point) are freed before the output is
+        # allocated
         rule = gauss_rule(CHEB, 21)
         vals = f1(rule.nodes)
         one = BarycentricData(rule.nodes, weights_gauss(rule), vals)
@@ -753,6 +790,83 @@ class TestNumeratorAccuracy:
         base = np.max(np.abs(pairwise - reference))
         floor = np.finfo(float).eps * np.max(np.abs(reference))
         assert err <= 2.0 * max(base, floor)
+
+
+class TestCauchyReductions:
+    """The quotient form's one vecdot against correctly rounded fsum references.
+
+    The references sum the exact products of the same rounded Cauchy entries
+    c_j = 1/(x - x_j) and rows W_j and W_j f_j that the package reduces, so
+    they isolate the reductions: each ddot is within gamma_{N+1} of its sum
+    of absolute products, whatever order it sums in.
+    """
+
+    @pytest.mark.parametrize("n", [20, 200, 1000])
+    @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(20.0, -0.9)],
+                             ids=["chebyshev1", "legendre", "jacobi20_m0.9"])
+    def test_against_fsum(self, spec, n):
+        rule = gauss_rule(spec, n + 1)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               f1(rule.nodes) + np.cos(7.0 * rule.nodes))
+        x = _rng(n).uniform(-1.0, 1.0, 400)
+        cauchy = 1.0 / (x[:, None] - data.nodes)
+        weighted = data.weights * data.values
+        sums = []
+        for row in (data.weights, weighted):
+            p, e = _exact_products(cauchy, row)
+            sums.append((np.array([math.fsum(np.concatenate(t)) for t in zip(p, e)]),
+                         np.abs(p).sum(axis=1)))
+        (den, den_abs), (num, num_abs) = sums
+        reference = num / den
+        got = interp_barycentric(data, x)
+
+        u = np.finfo(float).eps / 2.0
+        gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+        # the bound is itself a sum of N+1 rounded terms, and the computed
+        # denominator is within gamma of den
+        bound = (gamma * (num_abs + np.abs(reference) * den_abs)
+                 / ((1.0 - gamma) * np.abs(den)) + 2.0 * u * np.abs(got))
+        assert np.all(np.abs(got - reference) <= (1.0 + 2.0 * gamma) * bound)
+
+
+class TestQuotientFormOracle:
+    """The quotient form against 50 digits at fig3's worst cells.
+
+    The oracle takes the package's own float nodes, weights and samples as
+    exact, so only the evaluation's rounding shows.  Chebyshev-1 rules at
+    fig3's N = 200, 860 and 1000 sample f3 and f3 plus fig3's noise for
+    that N.  The points are x = -1 and 1, the outermost nodes one ulp either
+    side, and each column's argmax of |p - f3| on fig3's grid.  Each error
+    stays within 2 eps times the Chebyshev Lebesgue constant bound
+    (2/pi) log(N+1) + 1 (Rivlin) times max|f| of its column; Higham (IMA J.
+    Numer. Anal. 24, 2004) bounds the quotient form's forward error by
+    O(N eps) times the Lebesgue constant times max|f|.
+    """
+
+    config = experiments.paper_config("fig3")
+    grid = experiments._grid(config)
+
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    @pytest.mark.parametrize("n", [200, 860, 1000])
+    def test_worst_cells(self, n, lam):
+        rule = gauss_rule(CHEB, n + 1)
+        clean = f3(rule.nodes)
+        noise = experiments._noise_from_config(self.config,
+                                               self.config.n_values.index(n))
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               np.column_stack([clean, add_noise(clean, noise)]),
+                               lam)
+        p = interp_barycentric(data, self.grid) * (1.0 + lam)
+        worst = self.grid[np.argmax(np.abs(p - f3(self.grid)[:, None]), axis=0)]
+        ends = rule.nodes[[0, -1]]
+        x = np.concatenate([[-1.0, 1.0], np.nextafter(ends, -2.0),
+                            np.nextafter(ends, 2.0), worst])
+        want = quotient_form_oracle(data.nodes, data.weights, data.values, x)
+        want /= 1.0 + lam
+        lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+        scale = np.max(np.abs(data.values), axis=0) / (1.0 + lam)
+        err = np.abs(interp_barycentric(data, x) - want)
+        assert np.all(err <= 2.0 * np.finfo(float).eps * lebesgue * scale)
 
 
 class TestAgainstCoefficientRoute:

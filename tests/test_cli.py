@@ -318,6 +318,25 @@ class TestRun:
         assert err.startswith("error:") and "snr_db must be finite" in err
         assert not (tmp_path / "custom.csv").exists()
 
+    @pytest.mark.parametrize("value", ["12", "none"])
+    def test_out_dir_of_another_type_is_a_clean_error(self, capsys, tmp_path, value):
+        # the parser types 12 as an int and none as None, neither a path
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text("experiment = custom\nl_values = [4]\nn_values = [8]\n"
+                       f"out_dir = {value}\n", encoding="utf-8")
+        code, out, err = _run(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: out_dir must be")
+        assert [p.name for p in tmp_path.iterdir()] == ["custom.cfg"]
+
+    def test_out_with_a_line_break_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # the break would split the CSV's out_dir metadata line in two
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, "run", "--experiment", "fig3", "--out", "a\nb")
+        assert code == 2 and out == ""
+        assert err.startswith("error: out_dir must be") and "'a\\nb'" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("size", ["many", "2.5"])
     def test_bad_grid_size_is_a_clean_error(self, capsys, tmp_path, size):
         cfg = tmp_path / "custom.cfg"

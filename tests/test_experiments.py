@@ -14,7 +14,7 @@ from tikbary.barycentric import (
 from tikbary.basis import BasisSpec
 from tikbary.configfile import parse_config_text, read_config
 from tikbary.csvio import format_value, read_table
-from tikbary import experiments, metrics, regularized_fit
+from tikbary import barycentric, experiments, metrics, regularized_fit
 from tikbary.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -112,6 +112,22 @@ class TestConfigValidation:
         # 1.5 or true would draw seed 1's noise while the CSV echoes the input
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig("custom", l_values=(4,), n_values=(8,), seed=bad)
+
+    @pytest.mark.parametrize("bad", [12, None, "", "a\nb", "a\rb", "a\u2028b",
+                                     "runs#2", " runs", "runs ", "true", "12",
+                                     "none", "[a]", "[a"])
+    def test_out_dir_must_come_back_from_a_config_file(self, bad):
+        # each would reach a config file, or the CSV's metadata line, as
+        # something else: another type, a comment, a second line, no blanks
+        with pytest.raises(ValueError, match="out_dir"):
+            ExperimentConfig("custom", l_values=(4,), n_values=(8,), out_dir=bad)
+
+    @pytest.mark.parametrize("path", ["results/fig 3", "a=b", "C:\\runs", "r-1.5]"])
+    def test_out_dir_round_trips_through_config_text(self, path):
+        from tikbary.configfile import render_config_text
+        cfg = ExperimentConfig("custom", l_values=(4,), n_values=(8,), out_dir=path)
+        text = render_config_text(cfg.to_mapping())
+        assert ExperimentConfig.from_mapping(parse_config_text(text)) == cfg
 
     def test_value_coercion(self):
         cfg = ExperimentConfig("custom", l_values=[4.0], n_values=[8],
@@ -616,6 +632,21 @@ class TestLambdaAsAScalar:
         # whatever the number of lambdas
         assert calls == {"gauss_rule": len(cfg.n_values),
                          "fit": 2 * len(cfg.n_values)}
+
+    def test_fig3_weights_from_one_recurrence_sweep(self, tmp_path, monkeypatch):
+        sweeps = []
+        original = barycentric._orthonormal_rows
+
+        def counted(spec, l_max, x, out=None):
+            sweeps.append((l_max, x.size))
+            return original(spec, l_max, x, out)
+
+        monkeypatch.setattr(barycentric, "_orthonormal_rows", counted)
+        cfg = _tiny("fig3", tmp_path)
+        assert len(cfg.n_values) > 1
+        run(cfg)
+        # to the largest N over the nodes of every rule at once
+        assert sweeps == [(max(cfg.n_values), sum(n + 1 for n in cfg.n_values))]
 
     def test_one_l2_rule_per_degree_shared_by_both_functions(self, tmp_path,
                                                              monkeypatch):
