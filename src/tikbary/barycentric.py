@@ -22,10 +22,10 @@ it sits in.  The quotient form's denominator and each of its numerators are
 one BLAS ddot of a row of Cauchy entries against a contiguous row, W or
 W * f_c, built once per call.
 For the same reason the blocks are cut into contiguous row shares, one per
-worker, and the shares run side by side on a small thread pool (NumPy
-releases the GIL inside each op).  The worker count is the number of CPUs
-the process may run on, at most two; the output has the same bits whatever
-it is.
+worker, and the shares run side by side on threads that the call starts and
+joins (NumPy releases the GIL inside each op), so no thread outlives a call.
+The worker count is the number of CPUs the process may run on, at most two;
+the output has the same bits whatever it is.
 Points equal to a node never enter the table; their values, the division by
 the denominator and the zero check are done once per call over all of x.
 The quotient form's last bits therefore depend on the ddot kernel of the
@@ -41,7 +41,6 @@ as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,27 +86,6 @@ def _cpus() -> int:
 # its temporaries, which for four workers broke the 2 MiB work-table tests,
 # and only two cores were measured
 _WORKERS = min(2, _cpus())
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The shared pool, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tikbary")
-        return _pool
-
-
-def _forget_pool():
-    """A forked child inherits the pool but none of its threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def weights_product(nodes) -> np.ndarray:
@@ -252,66 +230,61 @@ def _block_rows(points: int, nodes: int) -> int:
     return max(1, min(points, _BLOCK_ENTRIES // nodes))
 
 
-def _difference_blocks(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray):
-    """Yield (rows, table): x[rows] - x_j for consecutive row blocks of x.
+def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
+    """Call body(rows, table), table = x[rows] - x_j, for consecutive row blocks of x.
 
     rows indexes x and skips hit_rows, the sorted points equal to a node, so
-    no entry is zero and callers write each block straight into their output.
+    no entry is zero and body writes each block straight into its output.
     It is a slice where the block holds no hit, which spares the index array
-    and its gather and scatters, a measurable share of the work at small N.
-    Every table is a view of one work array of _block_rows rows, overwritten
-    by the next block; a block of hits only yields nothing.
-    """
-    step = _block_rows(x.size, nodes.size)
-    work = np.empty((step, nodes.size))
-    starts = range(0, x.size, step)
-    # hit_rows[first:last] fall in the block at start
-    lasts = np.searchsorted(hit_rows, starts[1:]).tolist() + [hit_rows.size]
-    first = 0
-    for start, last in zip(starts, lasts):
-        stop = min(start + step, x.size)
-        if first == last:
-            rows = slice(start, stop)
-        else:
-            keep = np.ones(stop - start, dtype=bool)
-            keep[hit_rows[first:last] - start] = False
-            rows = start + np.flatnonzero(keep)
-        first = last
-        points = x[rows]
-        if points.size:
-            yield rows, np.subtract(points[:, None], nodes, out=work[: points.size])
-
-
-def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
-    """Call body(rows, table) for every block of _difference_blocks.
+    and its gather and scatters, a measurable share of the work at small N;
+    a block of hits only is skipped.
 
     x is cut into at most _WORKERS contiguous shares of x.size / _WORKERS
     rows, rounded up, or of one block where that is more, so a call of one
-    block never reaches the pool.  The caller's thread runs the first share
-    and the pool the others, each share with a work table of its own, so
-    body must only write the rows it is given.  Every share is waited for
-    before an exception is raised.
+    block starts no thread.  The caller's thread runs the first share, and
+    a thread started for this call each of the others.  Every share walks
+    its blocks with rows of x, in one work table of _block_rows rows of its
+    own that each block overwrites, so body must only write the rows it is
+    given.  Every thread is joined before an exception is raised.
     """
-    share = max(_block_rows(x.size, nodes.size), -(-x.size // _WORKERS))
+    step = _block_rows(x.size, nodes.size)
+    share = max(step, -(-x.size // _WORKERS))
+    errors = []
 
     def run(start):
-        stop = min(start + share, x.size)
-        first, last = np.searchsorted(hit_rows, (start, stop))
-        for rows, table in _difference_blocks(nodes, x[start:stop],
-                                              hit_rows[first:last] - start):
-            if isinstance(rows, slice):
-                rows = slice(rows.start + start, rows.stop + start)
-            else:
-                rows += start
-            body(rows, table)
+        try:
+            stop = min(start + share, x.size)
+            starts = range(start, stop, step)
+            # hit_rows[bounds[i]:bounds[i + 1]] fall in the block at starts[i]
+            bounds = np.searchsorted(hit_rows, [*starts, stop]).tolist()
+            work = np.empty((step, nodes.size))
+            for lo, first, last in zip(starts, bounds, bounds[1:]):
+                hi = min(lo + step, stop)
+                if first == last:
+                    rows = slice(lo, hi)
+                else:
+                    keep = np.ones(hi - lo, dtype=bool)
+                    keep[hit_rows[first:last] - lo] = False
+                    rows = lo + np.flatnonzero(keep)
+                points = x[rows]
+                if points.size:
+                    body(rows, np.subtract(points[:, None], nodes,
+                                           out=work[: points.size]))
+        except BaseException as exc:  # raised once every share has ended
+            errors.append(exc)
 
-    futures = [_executor().submit(run, start) for start in range(share, x.size, share)]
+    threads = []
     try:
+        for start in range(share, x.size, share):
+            thread = threading.Thread(target=run, args=(start,))
+            thread.start()
+            threads.append(thread)
         run(0)
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _node_polynomial(diffs: np.ndarray, log_c: float) -> np.ndarray:

@@ -51,7 +51,7 @@ class BasisSpec:
 
     @staticmethod
     def from_name(name: str) -> "BasisSpec":
-        key = name.strip().lower()
+        key = name.strip().lower() if isinstance(name, str) else ""
         if key in ("chebyshev1", "chebyshev-1st", "cheb1"):
             return BasisSpec.chebyshev1()
         if key == "legendre":

@@ -107,6 +107,9 @@ def _single_lambda(args) -> float:
 
 def _cmd_fit(args) -> int:
     n = args.L if args.N is None else args.N
+    for flag, degree in (("--L", args.L), ("--N", n)):
+        if degree < 0:
+            raise ValueError(f"{flag} must be >= 0, got {degree}")
     rule = gauss_rule(BasisSpec.from_name(args.basis), n + 1)
     lam = _single_lambda(args)
     approx = fit_op(rule, args.L, lam, _samples_for_rule(args, rule))
@@ -118,6 +121,8 @@ def _cmd_fit(args) -> int:
 def _cmd_interp(args) -> int:
     if args.eval_points < 1:
         raise ValueError(f"--eval-points must be >= 1, got {args.eval_points}")
+    if args.N < 0:
+        raise ValueError(f"--N must be >= 0, got {args.N}")
     rule = gauss_rule(BasisSpec.from_name(args.basis), args.N + 1)
     lam = _single_lambda(args)
     values = _samples_for_rule(args, rule)

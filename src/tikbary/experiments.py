@@ -71,6 +71,27 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _number(value) -> bool:
+    """True for an int or a float, NumPy's too; false for true and false,
+    which Python counts as 1 and 0."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _real(key: str, value) -> float:
+    """value as a float if it is a number, else ValueError."""
+    if not _number(value):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _items(key: str, values) -> tuple:
+    """values as a tuple if it is one-dimensional (a list, tuple or array), else ValueError."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"{key}: expected a list, got {values!r}")
+    return tuple(values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; round-trips losslessly through a config file."""
@@ -95,23 +116,25 @@ class ExperimentConfig:
         BasisSpec.from_name(self.basis)  # raises on a bad name
         if self.fn not in FUNCTIONS:
             raise ValueError(f"unknown function {self.fn!r}")
-        for key in ("l_values", "n_values"):
-            object.__setattr__(self, key, tuple(_whole(key, v) for v in getattr(self, key)))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if not self.l_values or not self.n_values:
-            raise ValueError("l_values and n_values must be nonempty")
-        if min(self.l_values) < 0 or min(self.n_values) < 1:
-            raise ValueError("degrees must be sensible")
-        if not self.lambdas:
+        for key, least in (("l_values", 0), ("n_values", 1)):
+            values = tuple(_whole(key, v) for v in _items(key, getattr(self, key)))
+            if not values:
+                raise ValueError(f"{key} must be nonempty")
+            if min(values) < least:
+                raise ValueError(f"{key} must be >= {least}, got {min(values)}")
+            object.__setattr__(self, key, values)
+        lambdas = tuple(_real("lambdas", v) for v in _items("lambdas", self.lambdas))
+        if not lambdas:
             raise ValueError("lambdas must be nonempty")
-        for lam in self.lambdas:
+        for lam in lambdas:
             check_lambda(lam)
+        object.__setattr__(self, "lambdas", lambdas)
         if self.noise_kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         # checked whatever the noise kind, since the metadata echoes both
-        if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
+        if not (_number(self.snr_db) and math.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-        if not (isinstance(self.noise_c, (int, float))
+        if not (_number(self.noise_c)
                 and math.isfinite(self.noise_c) and self.noise_c >= 0.0):
             raise ValueError(f"noise_c must be finite and >= 0, got {self.noise_c!r}")
         for key, least in (("seed", 0), ("grid_equispaced", 2), ("grid_chebyshev", 2)):
@@ -147,9 +170,12 @@ class ExperimentConfig:
         kwargs = {}
         for key, value in mapping.items():
             if key in ("l_range", "n_range"):
+                value = _items(key, value)
                 if len(value) != 3:
                     raise ValueError(f"{key} must be [start, stop, step]")
-                start, stop, step = (int(v) for v in value)
+                start, stop, step = (_whole(key, v) for v in value)
+                if step < 1:
+                    raise ValueError(f"{key}: step must be >= 1, got {step}")
                 kwargs[key[0] + "_values"] = tuple(range(start, stop + 1, step))
             elif key in _CONFIG_KEYS:
                 kwargs[key] = None if value == "none" else value

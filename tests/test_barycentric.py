@@ -573,8 +573,9 @@ class TestBlockIndependence:
 
 
 class TestRowShares:
-    """Row shares on the pool are a core-count choice: no worker count
-    changes a bit, for one caller, many callers or a forked child."""
+    """Row shares on threads that each call starts and joins are a
+    core-count choice: no worker count changes a bit, for one caller, many
+    callers or a forked child, and no thread outlives a call."""
 
     @staticmethod
     def _case(pts):
@@ -610,6 +611,30 @@ class TestRowShares:
             for name, call in calls.items():
                 np.testing.assert_array_equal(call(x), serial[name],
                                               err_msg=f"{name}, {workers} workers")
+
+    @pytest.mark.parametrize("name", ["quotient", "stacked quotient",
+                                      "modified lagrange", "lebesgue"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, name):
+        calls, x = self._case(600)
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        each_block = barycentric._each_block
+        ran = set()
+
+        def spying(nodes, x, hit_rows, body):
+            def spy(rows, table):
+                ran.add(threading.current_thread())
+                body(rows, table)
+
+            each_block(nodes, x, hit_rows, spy)
+
+        monkeypatch.setattr(barycentric, "_each_block", spying)
+        before = threading.active_count()
+        for _ in range(3):
+            calls[name](x)
+            assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in ran - {threading.current_thread()})
+        # the caller's thread and one more per call ran the blocks
+        assert len(ran) == 4 and threading.current_thread() in ran
 
     def test_threads_sharing_the_pool_get_single_thread_bits(self, monkeypatch):
         # 8 callers, each on points of its own, switched every microsecond
@@ -650,7 +675,7 @@ class TestRowShares:
         "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
     @pytest.mark.skipif(sys.platform != "linux", reason="fork start method")
     def test_forked_child_gets_the_parent_bits(self, monkeypatch):
-        # the child inherits the parent's pool object but none of its threads
+        # the child is forked after the parent's calls have run their threads
         calls, x = self._case(600)
         monkeypatch.setattr(barycentric, "_WORKERS", 2)
         want = {name: call(x).tobytes() for name, call in calls.items()}
@@ -704,15 +729,17 @@ class TestNodeHitsSkipTheTable:
 
     def test_rows_reaching_the_table(self, monkeypatch):
         rows = []
-        blocks = barycentric._difference_blocks
+        each_block = barycentric._each_block
 
-        def counting(nodes, x, hit_rows):
-            for block, table in blocks(nodes, x, hit_rows):
+        def counting(nodes, x, hit_rows, body):
+            def spy(block, table):
                 assert np.all(table != 0.0)
                 rows.append(table.shape[0])
-                yield block, table
+                body(block, table)
 
-        monkeypatch.setattr(barycentric, "_difference_blocks", counting)
+            each_block(nodes, x, hit_rows, spy)
+
+        monkeypatch.setattr(barycentric, "_each_block", counting)
         rule = gauss_rule(CHEB, 21)
         vals = f1(rule.nodes)
         one = BarycentricData(rule.nodes, weights_gauss(rule), vals,

@@ -110,6 +110,15 @@ class TestFit:
                             "--lambda", "0.5", "--lambda", "1.0")
         assert code == 2 and "single --lambda" in err
 
+    @pytest.mark.parametrize("degrees, err", [
+        (("--L", "-1"), "error: --L must be >= 0, got -1\n"),
+        (("--L", "3", "--N", "-2"), "error: --N must be >= 0, got -2\n"),
+    ])
+    def test_negative_degree_names_its_flag(self, capsys, degrees, err):
+        # the rule of degree -1 reported "points must be >= 1"
+        code, out, got = _run(capsys, "fit", "--fn", "f1", *degrees)
+        assert code == 2 and out == "" and got == err
+
     def test_needs_a_sample_source(self, capsys):
         code, _, err = _run(capsys, "fit", "--L", "4")
         assert code == 2 and "--fn" in err and "--data" in err
@@ -180,6 +189,11 @@ class TestInterp:
                               "--eval-points", points)
         assert code == 2 and out == ""
         assert err == f"error: --eval-points must be >= 1, got {points}\n"
+
+    def test_negative_degree_names_its_flag(self, capsys):
+        code, out, err = _run(capsys, "interp", "--N", "-1", "--fn", "f1")
+        assert code == 2 and out == ""
+        assert err == "error: --N must be >= 0, got -1\n"
 
 
     @pytest.mark.parametrize("message, err", [
@@ -336,6 +350,26 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("error: out_dir must be") and "'a\\nb'" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, lines", [
+        ("lambdas", "l_values = [4]\nlambdas = 0.1"),
+        ("l_values", "l_values = 5"),
+        ("lambdas", "l_values = [4]\nlambdas = [true]"),
+        ("snr_db", "l_values = [4]\nsnr_db = true"),
+        ("noise_c", "l_values = [4]\nnoise_c = true"),
+        ("l_range", "l_range = [10, 40, 10.7]"),
+        ("basis", "l_values = [4]\nbasis = 5"),
+    ])
+    def test_number_of_the_wrong_type_is_a_clean_error(self, capsys, tmp_path,
+                                                       key, lines):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(f"experiment = custom\nn_values = [60]\n{lines}\n",
+                       encoding="utf-8")
+        code, out, err = _run(capsys, "run", "--config", str(cfg),
+                              "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == ["custom.cfg"]
 
     @pytest.mark.parametrize("size", ["many", "2.5"])
     def test_bad_grid_size_is_a_clean_error(self, capsys, tmp_path, size):

@@ -129,6 +129,34 @@ class TestConfigValidation:
         text = render_config_text(cfg.to_mapping())
         assert ExperimentConfig.from_mapping(parse_config_text(text)) == cfg
 
+    @pytest.mark.parametrize("line", ["lambdas = 0.1", "l_values = 5", "n_values = 8"])
+    def test_a_scalar_is_no_list(self, line):
+        # iterating the scalar raised a TypeError, which the CLI does not catch
+        key = line.split(" ")[0]
+        mapping = {"experiment": "custom", "l_values": (4,), "n_values": (8,),
+                   **parse_config_text(line)}
+        with pytest.raises(ValueError, match=f"{key}: expected a list"):
+            ExperimentConfig.from_mapping(mapping)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("lambdas", (True,), "lambdas: expected a number"),
+        ("lambdas", (0.0, False), "lambdas: expected a number"),
+        ("snr_db", True, "snr_db must be finite"),
+        ("noise_c", True, "noise_c must be finite"),
+    ])
+    def test_a_boolean_is_no_number(self, key, value, match):
+        # true passed as 1: lambda = 1.0, snr_db = 1 dB, noise_c = 1
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig("custom", l_values=(4,), n_values=(8,), **{key: value})
+
+    @pytest.mark.parametrize("key, least", [("l_values", 0), ("n_values", 1)])
+    def test_degree_bounds_name_the_key(self, key, least):
+        degrees = {"l_values": (4,), "n_values": (8,)}
+        with pytest.raises(ValueError, match=rf"^{key} must be >= {least}, got {least - 1}$"):
+            ExperimentConfig("custom", **{**degrees, key: (6, least - 1)})
+        with pytest.raises(ValueError, match=f"^{key} must be nonempty$"):
+            ExperimentConfig("custom", **{**degrees, key: ()})
+
     def test_value_coercion(self):
         cfg = ExperimentConfig("custom", l_values=[4.0], n_values=[8],
                                lambdas=[0, 1])
@@ -183,6 +211,19 @@ class TestConfigMapping:
             ExperimentConfig.from_mapping(
                 {"experiment": "custom", "l_values": (4,), "n_values": (8,),
                  "colour": "red"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("l_range", (10, 40, 10.7)), ("l_range", (10.5, 40, 10)),
+        ("l_range", (10, 40, True)), ("n_range", (True, 60, 1)),
+        ("n_range", 60), ("n_range", (60, 80, 0)),
+    ])
+    def test_range_entries_must_be_whole_numbers(self, key, value):
+        # int() stepped [10, 40, 10.7] by 10 and took true as 1; a scalar
+        # raised a TypeError and a zero step range()'s own message
+        mapping = {"experiment": "custom", "l_values": (4,), "n_values": (60,)}
+        del mapping[key[0] + "_values"]
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_mapping({**mapping, key: value})
 
     def test_bad_range_shape(self):
         with pytest.raises(ValueError, match="start, stop, step"):
