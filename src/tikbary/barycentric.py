@@ -16,9 +16,15 @@ columns of an (N+1, k) values array: one pass over the Cauchy table
 1/(x - x_j) serves the denominator and every column.
 
 Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
-the work table stays cache-sized at any N.  The block size does not change a
-bit of the output: each row of the table is reduced on its own whatever block
-it sits in.  The quotient form's denominator and each of its numerators are
+the work table stays cache-sized at any N.  A block's differences x - x_j
+are one K = 2 matrix product, [x, 1] @ [1; -x_j], written into the work
+table: both products are exact and their sum is rounded once, so every
+entry has the bits of the subtraction.  On fig3's 57 x 1001 blocks the
+product writes 0.46 ns an entry, NumPy's broadcast subtract 1.56, since its
+stride-0 operand sends it through the buffered iterator (numpy 2.4.6,
+OpenBLAS 0.3.31, AVX-512).  The block size does not change a bit of the
+output: each row of the table is reduced on its own whatever block it sits
+in.  The quotient form's denominator and each of its numerators are
 one BLAS ddot of a row of Cauchy entries against a contiguous row, W or
 W * f_c, built once per call.
 For the same reason the blocks are cut into contiguous row shares, one per
@@ -67,9 +73,10 @@ _DIRECT_PRODUCT_LIMIT = 513
 # gain more on larger tables.  The block kernel at N = 1000, two threads
 # against one on a 2-core VM (numpy 2.4.6, OpenBLAS 0.3.31): 1.13x at 16k
 # entries, 1.39x at 32k, 1.48x at 56k, 1.63x at 64k, 1.80x at 128k.  Per op
-# on 57 x 1001 tables, each thread looping over its own: subtract 1.6-2.1x,
-# reciprocal 1.8-1.9x, row sum 1.1-1.7x, but the BLAS-backed reductions do
-# not overlap, vecdot 0.8-1.0x and a GEMM (@) 0.96-1.06x.  Two workers'
+# on 57 x 1001 tables, each thread looping over its own: the K = 2 GEMM that
+# builds the differences 1.7-1.9x (the broadcast subtract it replaced
+# 1.2-1.9x), reciprocal 1.8-2.0x, row sum 1.1-1.7x, but the reductions do
+# not overlap, vecdot 0.8-1.2x and a reduction GEMM (@) 0.96-1.06x.  Two workers'
 # tables and temporaries stay under the 2 MiB of the work-table tests; at
 # 64k entries the Lebesgue function's did not.
 _BLOCK_ENTRIES = 57344
@@ -242,13 +249,15 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
 
     x is cut into contiguous shares of equal size, rounded up: as many as
     hold two blocks each, at most _WORKERS, so a call of under four blocks
-    starts no thread.  A smaller share's thread costs more than it saves:
-    two shares of one block each against one worker ran 1.03x, 1.11x and
-    1.58x a call at N = 20, 60 and 1000 (quotient form, 2-core VM), and of
-    two blocks 0.86x, 0.92x and 1.29x.  At N = 1000 the Lebesgue function
-    gains from two blocks a share (0.93x), the quotient form, whose BLAS
-    ddots do not overlap, from about six; no experiment calls it there
-    with two to six.  The caller's thread runs the first share, and a
+    starts no thread.  Two shares against one worker, timed per call in 24
+    alternating rounds on a 2-core VM, ran 1.09-1.88x at one block a
+    share.  At two blocks a share they ran 1.19-1.25x at N = 20,
+    0.91-0.99x at N = 60, and at N = 1000 1.31-1.52x in the quotient form
+    and 0.91-1.02x in the Lebesgue function.  They won at every N only from
+    24 blocks a share.  That rule left fig3 at paper scale no faster (0.674
+    against 0.688 s a run, lower in 5 of 9 rounds) and gave up the N = 60
+    calls that win from four blocks a share (0.76-0.93x), so the rule
+    stays at two.  The caller's thread runs the first share, and a
     thread started for this call each of the others.  Every share walks
     its blocks with rows of x, in one work table of _block_rows rows of its
     own that each block overwrites, so body must only write the rows it is
@@ -257,6 +266,13 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
     step = _block_rows(x.size, nodes.size)
     shares = max(1, min(_WORKERS, x.size // (2 * step)))
     share = max(1, -(-x.size // shares))
+    # [x, 1] @ [1; -x_j]: both products are exact and their sum is rounded
+    # once, so every entry has the bits of x - x_j.  While N < _BLOCK_ENTRIES
+    # a block's M N K is at most 2 _BLOCK_ENTRIES = 114688, under the
+    # 4 x 65536 below which OpenBLAS runs a GEMM on the calling thread
+    # alone: its helper thread took no CPU time over 35k products of 57 rows
+    # at N = 1000, and half of the work at 4096 rows
+    minus_nodes = np.stack([np.ones(nodes.size), -nodes])
     errors = []
 
     def run(start):
@@ -266,6 +282,7 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
             # hit_rows[bounds[i]:bounds[i + 1]] fall in the block at starts[i]
             bounds = np.searchsorted(hit_rows, [*starts, stop]).tolist()
             work = np.empty((step, nodes.size))
+            pairs = np.ones((step, 2))  # [x, 1], the points in column 0
             for lo, first, last in zip(starts, bounds, bounds[1:]):
                 hi = min(lo + step, stop)
                 if first == last:
@@ -276,8 +293,10 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
                     rows = lo + np.flatnonzero(keep)
                 points = x[rows]
                 if points.size:
-                    body(rows, np.subtract(points[:, None], nodes,
-                                           out=work[: points.size]))
+                    lhs = pairs[: points.size]
+                    lhs[:, 0] = points
+                    body(rows, np.matmul(lhs, minus_nodes,
+                                         out=work[: points.size]))
         except BaseException as exc:  # raised once every share has ended
             errors.append(exc)
 
@@ -354,10 +373,12 @@ def interp_barycentric(data: BarycentricData, x):
     real distinct nodes with alternating weights the denominator cannot
     vanish off the nodes; a zero there means corrupted data and raises.
 
-    Each row block costs three full-table ops: the differences x - x_j, the
-    Cauchy entries c_j = 1/(x - x_j) in their place, and one vecdot of those
-    against the k+1 rows W and W * f_c.  So p = sum_j c_j (W_j f_j) /
-    sum_j c_j W_j, the denominator and every numerator each one ddot.
+    Each row block costs three full-table ops: the differences x - x_j as
+    one exact K = 2 GEMM, the Cauchy entries c_j = 1/(x - x_j) in their
+    place, and one vecdot of those against the k+1 rows W and W * f_c.  So
+    p = sum_j c_j (W_j f_j) / sum_j c_j W_j, the denominator and every
+    numerator each one ddot.  On 57 x 1001 blocks with k = 2 they take
+    0.46, 0.88 and 0.70 ns a table entry.
 
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
     column c is bitwise the result for values[:, c] alone: the rows are

@@ -116,6 +116,8 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
     The monic family satisfies P_{k+1} = (x - a_k) P_k - b_k P_{k-1}, with
     b_0 = V by convention.  Closed forms in the weight exponents; the k = 1
     entry has its own expression because the generic one degenerates there.
+    For a symmetric weight every a_k is +0.0: both numerators are exact zeros
+    over a positive denominator.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -137,8 +139,6 @@ def recurrence_coefficients(spec: BasisSpec, n: int) -> RecurrenceTable:
             4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
             / (s * s * (s + 1.0) * (s - 1.0))
         )
-    if spec.is_symmetric:
-        a[:] = 0.0  # suppress rounding residue; symmetry forces a_k = 0
     return RecurrenceTable(a=a, b=b)
 
 

@@ -7,6 +7,8 @@ semantics at and near nodes.
 
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -796,6 +798,82 @@ class TestNodeHitsSkipTheTable:
             # the off-node rows are bitwise a call on those points alone
             np.testing.assert_array_equal(got[11:18], call(off), err_msg=name)
         np.testing.assert_array_equal(calls["lebesgue"](rule.nodes), np.ones(21))
+
+
+def _table_mismatches(nodes, x):
+    """Entries of the difference tables _each_block hands to body that differ
+    from x[rows, None] - nodes in any bit, compared as int64 so that -0.0 and
+    +0.0 differ, over blocks of one row, of seven rows and of _block_rows.
+
+    The rows given must cover every point that is not a node, once each.  It
+    sets the module's block budget and worker count itself and restores them,
+    so that a child process can run it as it is.
+    """
+    hit_rows = _node_hits(nodes, x)[0]
+    off_node = np.setdiff1d(np.arange(x.size), hit_rows)
+    saved = barycentric._BLOCK_ENTRIES, barycentric._WORKERS
+    bad = 0
+    try:
+        barycentric._WORKERS = 2
+        for budget in (1, 7 * nodes.size, saved[0]):
+            barycentric._BLOCK_ENTRIES = budget
+            tables = []
+            barycentric._each_block(
+                nodes, x, hit_rows,
+                lambda rows, table: tables.append((rows, table.copy())))
+            seen = np.concatenate([np.arange(x.size)[rows] for rows, _ in tables])
+            assert np.array_equal(np.sort(seen), off_node), budget
+            for rows, table in tables:
+                want = x[rows, None] - nodes
+                bad += np.count_nonzero(table.view(np.int64) != want.view(np.int64))
+    finally:
+        barycentric._BLOCK_ENTRIES, barycentric._WORKERS = saved
+    return bad
+
+
+def _table_cases():
+    """(nodes, x) pairs: fig3's Chebyshev rules and nodes down among the
+    subnormals, against signed zeros, +-1, one ulp either side of every
+    node, |x| up to 1e300 and subnormal points."""
+    tiny = np.finfo(float).smallest_subnormal
+    cases = []
+    for nodes in (gauss_rule(CHEB, 21).nodes, gauss_rule(CHEB, 1001).nodes,
+                  np.array([-1.0, -1e-300, -3e-320, 0.0, 7 * tiny, 1e-310,
+                            0.5, 1.0])):
+        x = np.concatenate([
+            [0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1.5e-300, -2.5e16,
+             tiny, -tiny, 3 * tiny, 2.2e-308, -1e-310, 4e-320],
+            np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf), nodes,
+            _rng(nodes.size).uniform(-1.0, 1.0, 3 * nodes.size + 1)])
+        cases.append((nodes, x))
+    return cases
+
+
+class TestDifferenceTable:
+    """Each block's table x - x_j is one K = 2 GEMM, [x, 1] @ [1; -x_j]: both
+    products are exact and the sum is rounded once, so every entry must have
+    the bits of the subtraction, under every kernel the BLAS dispatches to."""
+
+    def test_every_entry_is_the_subtraction(self):
+        for nodes, x in _table_cases():
+            assert _table_mismatches(nodes, x) == 0
+
+    @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+    def test_every_entry_is_the_subtraction_under_openblas_core(self, core):
+        # OPENBLAS_VERBOSE=2 makes OpenBLAS name the core it runs on, or say
+        # it does not know the one asked for
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+        probe = ("import sys; sys.path[:0] = sys.argv[1:]; import test_barycentric as t; "
+                 "print(sum(t._table_mismatches(*case) for case in t._table_cases()))")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", probe, here, src],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2"})
+        if "Core:" not in done.stderr or "Core not found" in done.stderr:
+            pytest.skip(f"{core} is not in this build's OpenBLAS dispatch list")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
 
 
 def _exact_products(a, b):

@@ -172,6 +172,16 @@ class TestRecurrence:
         for spec in (CHEB, LEG, BasisSpec(0.7, 0.7)):
             assert np.all(recurrence_coefficients(spec, 20).a == 0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(-1.0, 1000.0, exclude_min=True))
+    def test_symmetric_weights_give_positive_zeros(self, a):
+        # beta - alpha and beta^2 - alpha^2 are exactly +0.0 at a = b, over
+        # a positive denominator
+        spec = BasisSpec(a, a)
+        assert spec.is_symmetric
+        got = recurrence_coefficients(spec, 5000).a
+        assert np.array_equal(got.view(np.int64), np.zeros(5000).view(np.int64))
+
     def test_length_validation(self):
         with pytest.raises(ValueError):
             recurrence_coefficients(LEG, 0)
