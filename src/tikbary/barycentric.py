@@ -11,36 +11,33 @@ rescaling of the weights; the modified Lagrange form is not, so it re-anchors
 whatever weights it is given to the product-formula scale.  lambda = 0 gives
 the classical interpolant; lambda > 0 multiplies it by 1/(1+lambda).
 
-The quotient form also takes k sample vectors at once, stacked as the
-columns of an (N+1, k) values array: one pass over the Cauchy table
-1/(x - x_j) serves the denominator and every column.
+Both forms and the Lebesgue function are one Cauchy kernel, two
+normalizations: _each_block alone forms the table c_j = 1/(x - x_j), and
+each kernel is one vecdot of its rows against contiguous rows, W and
+W * f_c (quotient form), W * f_c (modified Lagrange form) or |W| (Lebesgue
+function), the last two times the node polynomial 1/prod_j c_j.  Both
+forms take k sample vectors stacked as the columns of an (N+1, k) values
+array, column c bitwise the call on values[:, c].
 
-Both forms walk x in row blocks of about _BLOCK_ENTRIES table entries, so
-the work table stays cache-sized at any N.  A block's differences x - x_j
-are one K = 2 matrix product, [x, 1] @ [1; -x_j], written into the work
-table: both products are exact and their sum is rounded once, so every
-entry has the bits of the subtraction.  On fig3's 57 x 1001 blocks the
-product writes 0.46 ns an entry, NumPy's broadcast subtract 1.56, since its
-stride-0 operand sends it through the buffered iterator (numpy 2.4.6,
-OpenBLAS 0.3.31, AVX-512).  The block size does not change a bit of the
-output: each row of the table is reduced on its own whatever block it sits
-in.  The quotient form's denominator and each of its numerators are
-one BLAS ddot of a row of Cauchy entries against a contiguous row, W or
-W * f_c, built once per call.
+The table is walked in row blocks of about _BLOCK_ENTRIES entries, so the
+work table stays cache-sized at any N.  A block's differences x - x_j are
+one K = 2 matrix product, [x, 1] @ [1; -x_j]: both products are exact and
+their sum is rounded once, so every entry has the bits of the subtraction,
+and the reciprocal follows in place.  On fig3's 57 x 1001 blocks the
+product writes 0.46 ns an entry, NumPy's broadcast subtract 1.56 (numpy
+2.4.6, OpenBLAS 0.3.31, AVX-512).  Each row is reduced on its own, so the
+block size does not change a bit of the output.
 For the same reason the blocks are cut into contiguous row shares, one per
 worker where each holds two blocks or more, and the shares run side by side
 on threads that the call starts and joins (NumPy releases the GIL inside
 each op), so no thread outlives a call.
 The worker count is the number of CPUs the process may run on, at most two;
 the output has the same bits whatever it is.
-Points equal to a node never enter the table; their values, the division by
-the denominator and the zero check are done once per call over all of x.
-The quotient form's last bits therefore depend on the ddot kernel of the
-BLAS NumPy is linked against, as the coefficients of regularized_fit.fit
-(wf @ p) already do: reruns on one machine are bitwise equal.
-
-The Lebesgue function of interpolation in Gauss points, sum_j |l_j(x)|,
-uses the same difference blocks and node polynomial in first-kind form.
+Points within _hit_radius of a node count as that node and never enter
+the table; their values are set once per call.  The last bits depend on
+the ddot kernel of the BLAS NumPy is linked against, as the coefficients of
+regularized_fit.fit (wf @ p) already do: reruns on one machine are bitwise
+equal.
 
 One rule gives every sign: the nodes are finite and strictly increasing,
 as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
@@ -222,15 +219,37 @@ def _product_scale_anchor(nodes: np.ndarray, weights: np.ndarray) -> tuple[float
     return log_true - np.log(abs(weights[j])), sign_true * np.sign(weights[j])
 
 
-def _node_hits(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (rows of x, nodes) of the points of x equal to a node exactly.
+def _hit_radius(rows: np.ndarray, log_c: float | None = None) -> float:
+    """How near a node a point must lie to count as it: 2^-1000 times the
+    largest of 1, max |rows| and, for a direct-product node polynomial,
+    exp(log_c).  Further off, every Cauchy entry, every term rows_j c_j and
+    prod_j |c_j| = 1/|l(x)| stay under about 2^1000, 2^24 short of overflow;
+    1e-310 from the node at 0 of 21 Chebyshev points, the quotient form had
+    given NaN."""
+    scale = np.max(np.abs(rows), initial=1.0)
+    if log_c is not None and rows.shape[-1] <= _DIRECT_PRODUCT_LIMIT:
+        scale = max(scale, np.exp(log_c))
+    return float(scale) * 2.0**-1000
 
-    A binary search on the strictly increasing nodes, O(x log N) instead of a
-    scan of the whole (x, nodes) difference table.
+
+def _node_hits(nodes: np.ndarray, x: np.ndarray,
+               radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (rows of x, nodes) of the points of x within radius of a node.
+
+    A binary search on the strictly increasing nodes gives the node on
+    either side of each point, O(x log N); both are checked, since nodes may
+    lie closer together than radius, and a hit counts as the nearer.
+    radius 0 finds the points equal to a node.  17 bytes a point.
     """
-    cols = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
-    rows = np.flatnonzero(nodes[cols] == x)
-    return rows, cols[rows]
+    above = np.searchsorted(nodes, x)  # the node above each point, or none
+    gap = np.take(nodes, above, mode="clip")
+    near = np.abs(np.subtract(gap, x, out=gap), out=gap) <= radius
+    np.take(np.concatenate([nodes[:1], nodes]), above, out=gap, mode="clip")  # below
+    np.abs(np.subtract(x, gap, out=gap), out=gap)
+    gap[near] = 0.0  # near the node above already
+    rows = np.flatnonzero(np.less_equal(gap, radius, out=near))
+    lo, hi = np.maximum(above[rows] - 1, 0), np.minimum(above[rows], nodes.size - 1)
+    return rows, np.where(x[rows] - nodes[lo] <= nodes[hi] - x[rows], lo, hi)
 
 
 def _block_rows(points: int, nodes: int) -> int:
@@ -239,10 +258,12 @@ def _block_rows(points: int, nodes: int) -> int:
 
 
 def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
-    """Call body(rows, table), table = x[rows] - x_j, for consecutive row blocks of x.
+    """Call body(rows, cauchy), cauchy = 1/(x[rows] - x_j), for consecutive row blocks of x.
 
-    rows indexes x and skips hit_rows, the sorted points equal to a node, so
-    no entry is zero and body writes each block straight into its output.
+    The one place the Cauchy table is formed: an exact K = 2 GEMM for the
+    differences, then the reciprocal in place; body may overwrite it.  rows
+    indexes x and skips hit_rows, the sorted points that count as a node, so
+    every entry is finite and body writes each block straight into its output.
     It is a slice where the block holds no hit, which spares the index array
     and its gather and scatters, a measurable share of the work at small N;
     a block of hits only is skipped.
@@ -295,8 +316,8 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
                 if points.size:
                     lhs = pairs[: points.size]
                     lhs[:, 0] = points
-                    body(rows, np.matmul(lhs, minus_nodes,
-                                         out=work[: points.size]))
+                    table = np.matmul(lhs, minus_nodes, out=work[: points.size])
+                    body(rows, np.divide(1.0, table, out=table))
         except BaseException as exc:  # raised once every share has ended
             errors.append(exc)
 
@@ -314,54 +335,54 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
         raise errors[0]
 
 
-def _node_polynomial(diffs: np.ndarray, log_c: float) -> np.ndarray:
-    """|l(x)| exp(log_c), l(x) = prod_j (x - x_j), for the rows of a difference table.
+def _node_polynomial(cauchy: np.ndarray, log_c: float) -> np.ndarray:
+    """|l(x)| exp(log_c), l(x) = prod_j (x - x_j), for the rows of a Cauchy table.
 
-    Up to _DIRECT_PRODUCT_LIMIT nodes the product is formed directly; past
-    that its log-magnitude meets the scale anchor in log space, so neither
-    factor leaves double range on its own.  For finite, strictly increasing
+    Since |l(x)| = 1/prod_j |c_j|, c_j = 1/(x - x_j), up to
+    _DIRECT_PRODUCT_LIMIT nodes it is exp(log_c)/|prod_j c_j|; past that
+    exp(log_c - sum_j log|c_j|), so that neither the product nor the scale
+    anchor leaves double range on its own.  For finite, strictly increasing
     nodes callers sign it by (-1)^(number of nodes above x), an exact flip.
     """
-    if diffs.shape[1] <= _DIRECT_PRODUCT_LIMIT:
-        return np.abs(np.prod(diffs, axis=1)) * np.exp(log_c)
-    logs = np.abs(diffs)
-    return np.exp(np.sum(np.log(logs, out=logs), axis=1) + log_c)
+    if cauchy.shape[1] <= _DIRECT_PRODUCT_LIMIT:
+        return np.exp(log_c) / np.abs(np.prod(cauchy, axis=1))
+    logs = np.abs(cauchy)
+    return np.exp(log_c - np.sum(np.log(logs, out=logs), axis=1))
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
     """Evaluate l(x)/(1+lambda) * sum_j W_j f_j/(x - x_j) at x.
 
-    A point that equals a node exactly returns f_j/(1+lambda); there is no
-    epsilon ball, nearby points go through the formula, which is stable.
-    The node polynomial and the scale anchor are carried in log space when
-    the node count is large; a binary search gives the sign.  Takes one
-    sample vector; stacked values go through interp_barycentric.  x must
-    be finite.  Off [-1, 1] this is the form to use: it is backward stable
-    at any x (Higham 2004), the quotient form only on the interval.
+    Off [-1, 1] this is the form to use: it is backward stable at any x
+    (Higham 2004), the quotient form only on the interval.  x must be
+    finite.  A point within _hit_radius of a node returns f_j/(1+lambda);
+    other points go through the formula.  Each row block is one vecdot of
+    the Cauchy rows against the rows W * f_c, times the signed node
+    polynomial of the same rows, whose scale anchor carries the weights to
+    the product-formula scale.  Values of shape (N+1, k) give x.shape +
+    (k,), column c bitwise the result for values[:, c] alone.
     """
-    if data.values.ndim != 1:
-        raise ValueError(
-            "interp_modified_lagrange takes one sample vector of shape (N+1,); "
-            "use interp_barycentric for stacked values")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
-    shrink = 1.0 + data.lam
+    xv = x.ravel()
+    values = data.values.reshape(len(data), -1)
+    weighted = np.empty((values.shape[1], len(data)))  # the rows W * f_c
+    np.multiply(values.T, data.weights, out=weighted)
     log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
-    hit_rows, hit_cols = _node_hits(data.nodes, xv)
-    out = np.empty(xv.size)
+    hit_rows, hit_cols = _node_hits(data.nodes, xv, _hit_radius(weighted, log_c))
+    shrink = 1.0 + data.lam
+    out = np.empty((xv.size, values.shape[1]))
 
-    def body(rows, diffs):
+    def body(rows, cauchy):
         above = len(data) - np.searchsorted(data.nodes, xv[rows])
-        sign = np.where(above % 2, -sign_c, sign_c)
-        inner = (data.weights * data.values / diffs).sum(axis=1)
-        out[rows] = sign * _node_polynomial(diffs, log_c) * inner / shrink
+        scale = np.where(above % 2, -sign_c, sign_c) * _node_polynomial(cauchy, log_c)
+        out[rows] = np.vecdot(cauchy[:, None, :], weighted) * (scale / shrink)[:, None]
 
     _each_block(data.nodes, xv, hit_rows, body)
-    out[hit_rows] = data.values[hit_cols] / shrink
-    return float(out[0]) if scalar else out.reshape(np.atleast_1d(x).shape)
+    out[hit_rows] = values[hit_cols] / shrink
+    out = out.reshape(x.shape + data.values.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 def interp_barycentric(data: BarycentricData, x):
@@ -369,16 +390,16 @@ def interp_barycentric(data: BarycentricData, x):
 
     The form is meant for x in [-1, 1]; use interp_modified_lagrange off it.
     |x| > 1 is not rejected, since BarycentricData accepts nodes anywhere.
-    x must be finite.  A point equal to a node returns f_j/(1+lambda).  For
-    real distinct nodes with alternating weights the denominator cannot
-    vanish off the nodes; a zero there means corrupted data and raises.
+    x must be finite.  A point within _hit_radius of a node returns
+    f_j/(1+lambda).  For real distinct nodes with alternating weights the
+    denominator cannot vanish off the nodes; a zero there means corrupted
+    data and raises.
 
     Each row block costs three full-table ops: the differences x - x_j as
-    one exact K = 2 GEMM, the Cauchy entries c_j = 1/(x - x_j) in their
-    place, and one vecdot of those against the k+1 rows W and W * f_c.  So
-    p = sum_j c_j (W_j f_j) / sum_j c_j W_j, the denominator and every
-    numerator each one ddot.  On 57 x 1001 blocks with k = 2 they take
-    0.46, 0.88 and 0.70 ns a table entry.
+    one exact K = 2 GEMM and the Cauchy entries c_j in their place, both in
+    _each_block, and one vecdot of those against the k+1 rows W and W * f_c.
+    So the denominator and every numerator are each one ddot.  On 57 x 1001
+    blocks with k = 2 they take 0.46, 0.88 and 0.70 ns a table entry.
 
     With values of shape (N+1, k) the result has shape x.shape + (k,), and
     column c is bitwise the result for values[:, c] alone: the rows are
@@ -391,14 +412,13 @@ def interp_barycentric(data: BarycentricData, x):
         raise ValueError("x must be finite")
     xv = x.ravel()
     values = data.values.reshape(len(data), -1)
-    hit_rows, hit_cols = _node_hits(data.nodes, xv)
     weighted = np.empty((1 + values.shape[1], len(data)))  # W, then W * f_c
     weighted[0] = data.weights
     np.multiply(values.T, data.weights, out=weighted[1:])
+    hit_rows, hit_cols = _node_hits(data.nodes, xv, _hit_radius(weighted))
     dots = np.empty((len(weighted), xv.size))
 
-    def body(rows, diffs):
-        cauchy = np.divide(1.0, diffs, out=diffs)
+    def body(rows, cauchy):
         dots[:, rows] = np.vecdot(cauchy[:, None, :], weighted).T
 
     _each_block(data.nodes, xv, hit_rows, body)
@@ -419,12 +439,13 @@ def interp_barycentric(data: BarycentricData, x):
 def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     """Lebesgue function sum_j |l_j(x)| of interpolation in the rule's nodes.
 
-    First-kind (modified Lagrange) form |l(x)| sum_j |W_j| / |x - x_j|, with
-    the explicit Gauss-Jacobi weights |W_j| proportional to
-    sqrt((1 - x_j^2) w_j) (Wang, Huybrechs & Vandewalle, Math. Comp. 83,
-    2014), O(N) from the rule, anchored to the product-formula scale.  Every
-    term is positive, so nothing cancels, also at points far from the nodes
-    such as x = +-1.  A point equal to a node gives 1.  x is 1-D.
+    First-kind (modified Lagrange) form |l(x)| sum_j |W_j| |c_j|, with the
+    explicit Gauss-Jacobi weights |W_j| proportional to sqrt((1 - x_j^2) w_j)
+    (Wang, Huybrechs & Vandewalle, Math. Comp. 83, 2014), O(N) from the
+    rule, anchored to the product-formula scale: per block, |c_j| in place,
+    one vecdot against |W| and the node polynomial.  Every term is positive,
+    so nothing cancels, also at x = +-1.  A point within _hit_radius of a
+    node gives 1.  x is 1-D.
 
     The quotient form sum_j |W_j/(x - x_j)| / |sum_j W_j/(x - x_j)| is not
     used: its denominator cancels at x = +-1, costing up to 9.3e-4 relative
@@ -433,13 +454,12 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     nodes = rule.nodes
     weights = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
     log_c, _ = _product_scale_anchor(nodes, weights)
-    hit_rows, _ = _node_hits(nodes, x)
+    hit_rows, _ = _node_hits(nodes, x, _hit_radius(weights, log_c))
     out = np.ones(x.size)
 
-    def body(rows, diffs):
-        node_poly = _node_polynomial(diffs, log_c)
-        terms = np.abs(np.divide(weights, diffs, out=diffs), out=diffs)
-        out[rows] = node_poly * terms.sum(axis=1)
+    def body(rows, cauchy):
+        np.abs(cauchy, out=cauchy)
+        out[rows] = _node_polynomial(cauchy, log_c) * np.vecdot(cauchy, weights)
 
     _each_block(nodes, x, hit_rows, body)
     return out

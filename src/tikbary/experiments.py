@@ -30,13 +30,13 @@ from .csvio import render_table
 from .metrics import (
     LAMBDA_STAR,
     REPORT_COLUMNS,
-    _best_lambda,
     _fit_cells,
     _max_errors,
     _reports,
     default_l2_rule,
     default_lambda_grid,
     default_uniform_grid,
+    lambda_sweep,
 )
 from .quadrature import gauss_rule
 from .regularized_fit import check_lambda
@@ -437,15 +437,16 @@ def run_fig45(config: ExperimentConfig) -> list:
 
 
 def run_sweep(config: ExperimentConfig) -> list:
-    """One lambda sweep at fixed (L, N); reports the argmin per metric, the
-    first lambda reaching the minimum."""
+    """One lambda sweep at fixed (L, N) by metrics.lambda_sweep; reports the
+    argmin per metric, the first lambda reaching the minimum."""
     L, N = _one(config, "l_values"), _one(config, "n_values")
-    [reports] = _fit_tables(config, (config.fn,), [(L, N, 0)])
+    rule = gauss_rule(BasisSpec.from_name(config.basis), N + 1)
+    sweep = lambda_sweep(rule, L, FUNCTIONS[config.fn], config.lambdas,
+                         _noise_from_config(config, 0), _grid(config))
     hints = ["x = lambda", "y = uniform_error, l2_error", "logx = true",
              "logy = true", f"title = lambda sweep, {config.fn}, L={L}"]
-    best = [(f"best-lambda-{metric}", lam)
-            for metric, lam in _best_lambda(reports).items()]
-    return _emit_reports(config, config.experiment, reports, hints, best)
+    best = [(f"best-lambda-{metric}", lam) for metric, lam in sweep.best_lambda.items()]
+    return _emit_reports(config, config.experiment, sweep.reports, hints, best)
 
 
 def run_custom(config: ExperimentConfig) -> list:

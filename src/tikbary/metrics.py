@@ -171,12 +171,6 @@ def _fit_cells(f, f_grid, cells, lambdas, grid) -> list:
     return reports
 
 
-def _best_lambda(reports) -> dict:
-    """The lambda of the first report at which each error is least."""
-    return {metric: reports[int(np.argmin([getattr(r, metric) for r in reports]))].lam
-            for metric in ("uniform_error", "l2_error")}
-
-
 @dataclass(frozen=True)
 class SweepResult:
     reports: tuple
@@ -203,7 +197,8 @@ def lambda_sweep(
     the L2 rule's nodes (_fit_cells, through regularized_fit._blocked_values),
     so the last bits depend on the BLAS kernel and reruns on one machine are
     bitwise equal.  The fit at lambda is that output times 1/(1+lambda).
-    best_lambda holds the argmin lambda under each metric."""
+    best_lambda holds, under each metric, the lambda of the first report at
+    which that error is least."""
     lambdas = [float(v) for v in np.atleast_1d(lambdas)]
     if not lambdas:
         raise ValueError("need at least one lambda")
@@ -212,7 +207,9 @@ def lambda_sweep(
     grid = default_uniform_grid() if grid is None else _check_grid(grid)
     reports = _fit_cells(f, np.asarray(f(grid), dtype=float),
                          [(rule, L, default_l2_rule(rule, L), noise)], lambdas, grid)
-    return SweepResult(reports=tuple(reports), best_lambda=_best_lambda(reports))
+    best = {metric: reports[int(np.argmin([getattr(r, metric) for r in reports]))].lam
+            for metric in ("uniform_error", "l2_error")}
+    return SweepResult(reports=tuple(reports), best_lambda=best)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ None of these is on a path the package runs: the dense normal-equations
 solve cross-checks the closed-form fit, the degree-by-degree sum cross-checks
 the blocked GEMM values of evaluate, the Christoffel-Darboux kernel in
 direct and quotient form cross-checks the basis recurrence, the 50-digit
-quotient form cross-checks the barycentric kernel, and the 50-digit
-quadrature sums cross-check exactness_residual.
+quotient and first-kind forms cross-check the barycentric kernels, and the
+50-digit quadrature sums cross-check exactness_residual.
 """
 
 import decimal
@@ -94,6 +94,38 @@ def quotient_form_oracle(nodes, weights, values, x, dps: int = 50) -> np.ndarray
             cauchy = [w / (t - x_j) for w, x_j in zip(ws, xs)]
             denominator = mpmath.fsum(cauchy)
             out[i] = [float(mpmath.fdot(cauchy, f) / denominator) for f in columns]
+    return out
+
+
+def first_kind_oracle(nodes, weights, values, x, dps: int = 50) -> np.ndarray:
+    """l(x) sum_j V_j f_j/(x - x_j) at dps significant digits.
+
+    l(x) = prod_j (x - x_j), and V_j are the weights carried to the
+    product-formula scale by one factor: at the index k of the largest
+    |W_j|, V_k = 1/prod_{j != k}(x_k - x_j).  That is the interpolant
+    interp_modified_lagrange evaluates, with the float nodes, weights,
+    (N+1, k) values and points taken as exact, so the result isolates the
+    rounding of a float evaluation of the same data.  A point equal to a
+    node gives that node's samples.  Returns the (|x|, k) values rounded to
+    doubles.
+    """
+    values = np.asarray(values, dtype=float).reshape(len(nodes), -1)
+    out = np.empty((len(x), values.shape[1]))
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(v)) for v in nodes]
+        k = int(np.argmax(np.abs(weights)))
+        anchor = 1 / mpmath.fprod(xs[k] - x_j for j, x_j in enumerate(xs) if j != k)
+        anchor /= mpmath.mpf(float(weights[k]))
+        ws = [anchor * mpmath.mpf(float(v)) for v in weights]
+        columns = [[mpmath.mpf(float(v)) for v in col] for col in values.T]
+        for i, point in enumerate(x):
+            t = mpmath.mpf(float(point))
+            if t in xs:
+                out[i] = values[xs.index(t)]
+                continue
+            node_poly = mpmath.fprod(t - x_j for x_j in xs)
+            terms = [w / (t - x_j) for w, x_j in zip(ws, xs)]
+            out[i] = [float(node_poly * mpmath.fdot(terms, f)) for f in columns]
     return out
 
 

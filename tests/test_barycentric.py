@@ -35,7 +35,7 @@ from tikbary.quadrature import gauss_rule
 from tikbary.regularized_fit import evaluate, fit
 from tikbary.signals import add_noise, f1, f3
 
-from oracles import quotient_form_oracle
+from oracles import first_kind_oracle, quotient_form_oracle
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
@@ -377,11 +377,68 @@ class TestNodeSemantics:
             nodes, np.nextafter(nodes, -2.0), np.nextafter(nodes, 2.0),
             [-0.0, -1.0, 1.0, 1.5, -np.inf, np.inf, np.nan], nodes[::-1],
             _rng(10).uniform(-1.0, 1.0, 50)])
-        rows, cols = _node_hits(nodes, x)
+        rows, cols = _node_hits(nodes, x, 0.0)
         want_rows, want_cols = np.nonzero(x[:, None] == nodes[None, :])
         np.testing.assert_array_equal(rows, want_rows)
         np.testing.assert_array_equal(cols, want_cols)
         assert rows.size >= 2 * nodes.size
+
+
+class TestNextToANode:
+    """A point a hair off a node counts as that node.
+
+    The 21- and 201-point Chebyshev rules have a node at 0.0.  Points 1e-310
+    or 5e-324 from it once turned the quotient form to NaN, the modified
+    Lagrange form and the Lebesgue function to inf or NaN, and 1e-300 did
+    so for samples of 1e10: 1/(x - x_j) or W_j f_j/(x - x_j) overflowed.  At
+    201 nodes the direct product prod_j c_j = 1/l(x) of the modified Lagrange
+    form overflows first, below about 5e-251.  Every distance from 1e-250
+    down to the smallest subnormal, on both sides, must give the value at
+    the node within Higham's gamma_{3N+4} (the Lebesgue function is 1 at a
+    node), with no warning.
+    """
+
+    x = np.concatenate([[5e-324, 1e-310, 1e-300], np.logspace(-323, -250, 74)])
+    x = np.concatenate([x, -x])
+
+    @staticmethod
+    def _rule(pts):
+        rule = gauss_rule(CHEB, pts)
+        assert rule.nodes[pts // 2] == 0.0
+        return rule, (3 * pts + 1) * np.finfo(float).eps / 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
+    @pytest.mark.parametrize("scale", [1.0, 1e10])
+    @pytest.mark.parametrize("pts", [21, 201])
+    def test_every_kernel_gives_the_node_value(self, pts, scale, lam):
+        rule, rtol = self._rule(pts)
+        vals = scale * (1.0 + f1(rule.nodes))
+        one = BarycentricData(rule.nodes, weights_gauss(rule), vals, lam)
+        two = BarycentricData(rule.nodes, weights_gauss(rule),
+                              np.column_stack([vals, -vals]), lam)
+        want = vals[pts // 2] / (1.0 + lam)
+        for form in (interp_barycentric, interp_modified_lagrange):
+            np.testing.assert_allclose(form(one, self.x), want, rtol=rtol,
+                                       err_msg=form.__name__)
+            np.testing.assert_allclose(form(two, self.x),
+                                       np.tile([want, -want], (self.x.size, 1)),
+                                       rtol=rtol, err_msg=form.__name__)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pts", [21, 201])
+    def test_lebesgue_function_gives_one(self, pts):
+        rule, rtol = self._rule(pts)
+        np.testing.assert_allclose(barycentric._lebesgue_function(rule, self.x),
+                                   1.0, rtol=rtol)
+
+    def test_nearer_of_two_close_nodes(self):
+        # nodes closer together than the radius: a point counts as the nearer
+        nodes = np.array([-1.0, 0.0, 1e-310, 3e-310, 1.0])
+        x = np.array([4e-311, 6e-311, 2.1e-310, 0.5, -5e-324, 3e-310])
+        rows, cols = _node_hits(nodes, x, 1e-300)
+        np.testing.assert_array_equal(rows, [0, 1, 2, 4, 5])
+        np.testing.assert_array_equal(cols, [1, 2, 3, 1, 3])
 
 
 class TestStackedValues:
@@ -408,12 +465,14 @@ class TestStackedValues:
         hull = np.array([-1.0, 1.0, 1.0, -1.0])  # outside the Chebyshev nodes
         hits = rule.nodes[::3]
         unsorted = np.concatenate([inside[:40], hits, hull, inside[:40]])
-        for x in (inside, hull, hits, unsorted, unsorted[:80].reshape(8, 10)):
-            got = interp_barycentric(data, x)
-            assert got.shape == x.shape + (3,)
-            for c in range(3):
-                single = interp_barycentric(self._column(data, c), x)
-                np.testing.assert_array_equal(got[..., c], single)
+        for form in (interp_barycentric, interp_modified_lagrange):
+            for x in (inside, hull, hits, unsorted, unsorted[:80].reshape(8, 10)):
+                got = form(data, x)
+                assert got.shape == x.shape + (3,)
+                for c in range(3):
+                    single = form(self._column(data, c), x)
+                    np.testing.assert_array_equal(got[..., c], single,
+                                                  err_msg=form.__name__)
 
     @pytest.mark.parametrize("lam", [0.0, LAMBDA_STAR])
     def test_scalar_x(self, lam):
@@ -467,10 +526,22 @@ class TestStackedValues:
             np.testing.assert_array_equal(interp_barycentric(single, x),
                                           want[:, c])
 
-    def test_modified_lagrange_rejects_stacked_values(self):
-        _, data = self._data(21, 0.0)
-        with pytest.raises(ValueError, match="one sample vector"):
-            interp_modified_lagrange(data, 0.3)
+    def test_modified_lagrange_takes_stacked_values(self):
+        # the shapes of the quotient form: x.shape + (k,), a float for a
+        # scalar x and one sample vector, and the shrunk samples at the nodes
+        rule, data = self._data(21, LAMBDA_STAR)
+        for x in (0.3, np.linspace(-1.0, 1.0, 7), np.zeros((2, 0)),
+                  np.linspace(-2.0, 2.0, 12).reshape(3, 4)):
+            got = interp_modified_lagrange(data, x)
+            assert got.shape == np.shape(x) + (3,)
+            assert got.shape == interp_barycentric(data, x).shape
+        one = interp_modified_lagrange(self._column(data, 0), 0.3)
+        assert isinstance(one, float)
+        assert one == interp_modified_lagrange(data, 0.3)[0]
+        k1 = BarycentricData(data.nodes, data.weights, data.values[:, :1], data.lam)
+        assert interp_modified_lagrange(k1, np.zeros(5)).shape == (5, 1)
+        np.testing.assert_array_equal(interp_modified_lagrange(data, rule.nodes),
+                                      data.values / (1.0 + LAMBDA_STAR))
 
 
 class TestBlockIndependence:
@@ -647,7 +718,7 @@ class TestRowShares:
     def test_every_share_holds_two_blocks(self, monkeypatch, pts, points, threads):
         calls, _ = self._case(pts)
         x = np.linspace(-1.0, 1.0, points)
-        hits = _node_hits(gauss_rule(CHEB, pts).nodes, x)[0].size
+        hits = _node_hits(gauss_rule(CHEB, pts).nodes, x, 0.0)[0].size
         monkeypatch.setattr(barycentric, "_WORKERS", 2)
         each_block = barycentric._each_block
         rows = {}
@@ -801,15 +872,18 @@ class TestNodeHitsSkipTheTable:
 
 
 def _table_mismatches(nodes, x):
-    """Entries of the difference tables _each_block hands to body that differ
-    from x[rows, None] - nodes in any bit, compared as int64 so that -0.0 and
-    +0.0 differ, over blocks of one row, of seven rows and of _block_rows.
+    """Entries of the Cauchy tables _each_block hands to body that differ
+    from np.divide(1.0, np.subtract.outer(x[rows], nodes)) in any bit,
+    compared as int64 so that -0.0 and +0.0 differ, over blocks of one row,
+    of seven rows and of _block_rows.
 
-    The rows given must cover every point that is not a node, once each.  It
-    sets the module's block budget and worker count itself and restores them,
-    so that a child process can run it as it is.
+    The points within the kernels' hit radius of a node, 2^-1000 for weights
+    and samples of magnitude 1, are the hits; the rows given must cover every
+    other point, once each.  It sets the module's block budget and worker
+    count itself and restores them, so that a child process can run it as
+    it is.
     """
-    hit_rows = _node_hits(nodes, x)[0]
+    hit_rows = _node_hits(nodes, x, barycentric._hit_radius(np.ones(nodes.size)))[0]
     off_node = np.setdiff1d(np.arange(x.size), hit_rows)
     saved = barycentric._BLOCK_ENTRIES, barycentric._WORKERS
     bad = 0
@@ -824,7 +898,7 @@ def _table_mismatches(nodes, x):
             seen = np.concatenate([np.arange(x.size)[rows] for rows, _ in tables])
             assert np.array_equal(np.sort(seen), off_node), budget
             for rows, table in tables:
-                want = x[rows, None] - nodes
+                want = np.divide(1.0, np.subtract.outer(x[rows], nodes))
                 bad += np.count_nonzero(table.view(np.int64) != want.view(np.int64))
     finally:
         barycentric._BLOCK_ENTRIES, barycentric._WORKERS = saved
@@ -850,9 +924,11 @@ def _table_cases():
 
 
 class TestDifferenceTable:
-    """Each block's table x - x_j is one K = 2 GEMM, [x, 1] @ [1; -x_j]: both
-    products are exact and the sum is rounded once, so every entry must have
-    the bits of the subtraction, under every kernel the BLAS dispatches to."""
+    """Each block's differences x - x_j are one K = 2 GEMM, [x, 1] @ [1; -x_j]:
+    both products are exact and the sum is rounded once, so every entry of
+    the Cauchy table 1/(x - x_j) that body gets must have the bits of the
+    reciprocal of the subtraction, under every kernel the BLAS dispatches
+    to.  Subnormal differences are hits, and never reach the table."""
 
     def test_every_entry_is_the_subtraction(self):
         for nodes, x in _table_cases():
@@ -1004,6 +1080,45 @@ class TestQuotientFormOracle:
         scale = np.max(np.abs(data.values), axis=0) / (1.0 + lam)
         err = np.abs(interp_barycentric(data, x) - want)
         assert np.all(err <= 2.0 * np.finfo(float).eps * lebesgue * scale)
+
+
+class TestFirstKindOracle:
+    """The modified Lagrange form against 50 digits at fig3's worst cells.
+
+    The oracle takes the package's float nodes, weights and samples as
+    exact, and carries the weights to the product-formula scale as the
+    package does, so only the evaluation's rounding shows.  Chebyshev-1
+    rules at N = 200 and 1000 (the log-space node polynomial) sample f3 and
+    f3 plus fig3's noise for that N; the points are x = -1 and 1, the
+    outermost nodes one ulp either side, and each column's argmax of
+    |p - f3| on fig3's grid.  Higham (IMA J. Numer. Anal. 24, 2004, Thm
+    3.1) bounds the form's forward error by gamma_{3N+4} sum_j |l_j(x) f_j|,
+    at most (3N + 4) eps/2 times the Lebesgue constant, (2/pi) log(N+1) + 1
+    for these nodes (Rivlin), times max|f|.  The errors sit at 0.04-0.14 of
+    that bound.
+    """
+
+    config = experiments.paper_config("fig3")
+    grid = experiments._grid(config)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_worst_cells(self, n):
+        rule = gauss_rule(CHEB, n + 1)
+        clean = f3(rule.nodes)
+        noise = experiments._noise_from_config(self.config,
+                                               self.config.n_values.index(n))
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               np.column_stack([clean, add_noise(clean, noise)]))
+        p = interp_modified_lagrange(data, self.grid)
+        worst = self.grid[np.argmax(np.abs(p - f3(self.grid)[:, None]), axis=0)]
+        ends = rule.nodes[[0, -1]]
+        x = np.concatenate([[-1.0, 1.0], np.nextafter(ends, -2.0),
+                            np.nextafter(ends, 2.0), worst])
+        want = first_kind_oracle(data.nodes, data.weights, data.values, x)
+        lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+        scale = np.max(np.abs(data.values), axis=0)
+        err = np.abs(interp_modified_lagrange(data, x) - want)
+        assert np.all(err <= (3 * n + 4) / 2 * np.finfo(float).eps * lebesgue * scale)
 
 
 class TestAgainstCoefficientRoute:
