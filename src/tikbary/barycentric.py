@@ -19,25 +19,15 @@ function), the last two times the node polynomial 1/prod_j c_j.  Both
 forms take k sample vectors stacked as the columns of an (N+1, k) values
 array, column c bitwise the call on values[:, c].
 
-The table is walked in row blocks of about _BLOCK_ENTRIES entries, so the
-work table stays cache-sized at any N.  A block's differences x - x_j are
-one K = 2 matrix product, [x, 1] @ [1; -x_j]: both products are exact and
-their sum is rounded once, so every entry has the bits of the subtraction,
-and the reciprocal follows in place.  On fig3's 57 x 1001 blocks the
-product writes 0.46 ns an entry, NumPy's broadcast subtract 1.56 (numpy
-2.4.6, OpenBLAS 0.3.31, AVX-512).  Each row is reduced on its own, so the
-block size does not change a bit of the output.
-For the same reason the blocks are cut into contiguous row shares, one per
-worker where each holds two blocks or more, and the shares run side by side
-on threads that the call starts and joins (NumPy releases the GIL inside
-each op), so no thread outlives a call.
-The worker count is the number of CPUs the process may run on, at most two;
-the output has the same bits whatever it is.
 Points within _hit_radius of a node count as that node and never enter
-the table; their values are set once per call.  The last bits depend on
-the ddot kernel of the BLAS NumPy is linked against, as the coefficients of
-regularized_fit.fit (wf @ p) already do: reruns on one machine are bitwise
-equal.
+the table; their values are set once per call.  The others are walked in
+blocks of consecutive points, about _BLOCK_ENTRIES table entries each, so
+the work table stays cache-sized at any N.  A block's differences x - x_j
+are one exact K = 2 matrix product, [x, 1] @ [1; -x_j], and the reciprocal
+follows in place.  Each row is reduced on its own, so neither the block
+size nor the row shares on threads change a bit.  The last bits depend on
+the BLAS ddot kernel, as those of regularized_fit.fit (wf @ p) do: reruns
+on one machine are bitwise equal.
 
 One rule gives every sign: the nodes are finite and strictly increasing,
 as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
@@ -71,11 +61,10 @@ _DIRECT_PRODUCT_LIMIT = 513
 # against one on a 2-core VM (numpy 2.4.6, OpenBLAS 0.3.31): 1.13x at 16k
 # entries, 1.39x at 32k, 1.48x at 56k, 1.63x at 64k, 1.80x at 128k.  Per op
 # on 57 x 1001 tables, each thread looping over its own: the K = 2 GEMM that
-# builds the differences 1.7-1.9x (the broadcast subtract it replaced
-# 1.2-1.9x), reciprocal 1.8-2.0x, row sum 1.1-1.7x, but the reductions do
-# not overlap, vecdot 0.8-1.2x and a reduction GEMM (@) 0.96-1.06x.  Two workers'
-# tables and temporaries stay under the 2 MiB of the work-table tests; at
-# 64k entries the Lebesgue function's did not.
+# builds the differences 1.7-1.9x, reciprocal 1.8-2.0x, row sum 1.1-1.7x,
+# but the reductions do not overlap, vecdot 0.8-1.2x and a reduction GEMM
+# (@) 0.96-1.06x.  Two workers' tables and temporaries stay under the 2 MiB
+# of the work-table tests; at 64k entries the Lebesgue function's did not.
 _BLOCK_ENTRIES = 57344
 
 
@@ -223,9 +212,7 @@ def _hit_radius(rows: np.ndarray, log_c: float | None = None) -> float:
     """How near a node a point must lie to count as it: 2^-1000 times the
     largest of 1, max |rows| and, for a direct-product node polynomial,
     exp(log_c).  Further off, every Cauchy entry, every term rows_j c_j and
-    prod_j |c_j| = 1/|l(x)| stay under about 2^1000, 2^24 short of overflow;
-    1e-310 from the node at 0 of 21 Chebyshev points, the quotient form had
-    given NaN."""
+    prod_j |c_j| = 1/|l(x)| stay under about 2^1000, 2^24 short of overflow."""
     scale = np.max(np.abs(rows), initial=1.0)
     if log_c is not None and rows.shape[-1] <= _DIRECT_PRODUCT_LIMIT:
         scale = max(scale, np.exp(log_c))
@@ -262,25 +249,21 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
 
     The one place the Cauchy table is formed: an exact K = 2 GEMM for the
     differences, then the reciprocal in place; body may overwrite it.  rows
-    indexes x and skips hit_rows, the sorted points that count as a node, so
-    every entry is finite and body writes each block straight into its output.
-    It is a slice where the block holds no hit, which spares the index array
-    and its gather and scatters, a measurable share of the work at small N;
-    a block of hits only is skipped.
+    is a slice of consecutive off-node points: hit_rows, the sorted points
+    that count as a node, cut x into runs and each run into blocks, so every
+    entry is finite and body writes straight into its output.
 
     x is cut into contiguous shares of equal size, rounded up: as many as
     hold two blocks each, at most _WORKERS, so a call of under four blocks
     starts no thread.  Two shares against one worker, timed per call in 24
-    alternating rounds on a 2-core VM, ran 1.09-1.88x at one block a
-    share.  At two blocks a share they ran 1.19-1.25x at N = 20,
-    0.91-0.99x at N = 60, and at N = 1000 1.31-1.52x in the quotient form
-    and 0.91-1.02x in the Lebesgue function.  They won at every N only from
-    24 blocks a share.  That rule left fig3 at paper scale no faster (0.674
-    against 0.688 s a run, lower in 5 of 9 rounds) and gave up the N = 60
-    calls that win from four blocks a share (0.76-0.93x), so the rule
-    stays at two.  The caller's thread runs the first share, and a
-    thread started for this call each of the others.  Every share walks
-    its blocks with rows of x, in one work table of _block_rows rows of its
+    alternating rounds on a 2-core VM, ran 1.09-1.88x at one block a share;
+    at two, 1.19-1.25x at N = 20, 0.91-0.99x at N = 60, and at N = 1000
+    1.31-1.52x in the quotient form and 0.91-1.02x in the Lebesgue function.
+    They won at every N only from 24 blocks a share, which left fig3 at
+    paper scale no faster (0.674 against 0.688 s a run, lower in 5 of 9
+    rounds) and gave up the N = 60 calls that win from four (0.76-0.93x).
+    The caller's thread runs the first share, and a thread started for this
+    call each of the others, in one work table of _block_rows rows of its
     own that each block overwrites, so body must only write the rows it is
     given.  Every thread is joined before an exception is raised.
     """
@@ -299,25 +282,16 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
     def run(start):
         try:
             stop = min(start + share, x.size)
-            starts = range(start, stop, step)
-            # hit_rows[bounds[i]:bounds[i + 1]] fall in the block at starts[i]
-            bounds = np.searchsorted(hit_rows, [*starts, stop]).tolist()
+            hits = hit_rows[slice(*np.searchsorted(hit_rows, [start, stop]))].tolist()
             work = np.empty((step, nodes.size))
             pairs = np.ones((step, 2))  # [x, 1], the points in column 0
-            for lo, first, last in zip(starts, bounds, bounds[1:]):
-                hi = min(lo + step, stop)
-                if first == last:
-                    rows = slice(lo, hi)
-                else:
-                    keep = np.ones(hi - lo, dtype=bool)
-                    keep[hit_rows[first:last] - lo] = False
-                    rows = lo + np.flatnonzero(keep)
-                points = x[rows]
-                if points.size:
-                    lhs = pairs[: points.size]
-                    lhs[:, 0] = points
-                    table = np.matmul(lhs, minus_nodes, out=work[: points.size])
-                    body(rows, np.divide(1.0, table, out=table))
+            # the runs of off-node points between the hits of this share
+            for run_lo, run_hi in zip([start] + [h + 1 for h in hits], hits + [stop]):
+                for lo in range(run_lo, run_hi, step):
+                    hi = min(lo + step, run_hi)
+                    pairs[: hi - lo, 0] = x[lo:hi]
+                    table = np.matmul(pairs[: hi - lo], minus_nodes, out=work[: hi - lo])
+                    body(slice(lo, hi), np.divide(1.0, table, out=table))
         except BaseException as exc:  # raised once every share has ended
             errors.append(exc)
 
@@ -341,13 +315,14 @@ def _node_polynomial(cauchy: np.ndarray, log_c: float) -> np.ndarray:
     Since |l(x)| = 1/prod_j |c_j|, c_j = 1/(x - x_j), up to
     _DIRECT_PRODUCT_LIMIT nodes it is exp(log_c)/|prod_j c_j|; past that
     exp(log_c - sum_j log|c_j|), so that neither the product nor the scale
-    anchor leaves double range on its own.  For finite, strictly increasing
-    nodes callers sign it by (-1)^(number of nodes above x), an exact flip.
+    anchor leaves double range on its own; that path overwrites the rows
+    with log|c_j|, so callers reduce them first.  Callers sign it by
+    (-1)^(number of nodes above x), exact for finite, strictly increasing nodes.
     """
     if cauchy.shape[1] <= _DIRECT_PRODUCT_LIMIT:
         return np.exp(log_c) / np.abs(np.prod(cauchy, axis=1))
-    logs = np.abs(cauchy)
-    return np.exp(log_c - np.sum(np.log(logs, out=logs), axis=1))
+    logs = np.log(np.abs(cauchy, out=cauchy), out=cauchy)
+    return np.exp(log_c - np.sum(logs, axis=1))
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
@@ -375,9 +350,10 @@ def interp_modified_lagrange(data: BarycentricData, x):
     out = np.empty((xv.size, values.shape[1]))
 
     def body(rows, cauchy):
+        out[rows] = np.vecdot(cauchy[:, None, :], weighted)
         above = len(data) - np.searchsorted(data.nodes, xv[rows])
         scale = np.where(above % 2, -sign_c, sign_c) * _node_polynomial(cauchy, log_c)
-        out[rows] = np.vecdot(cauchy[:, None, :], weighted) * (scale / shrink)[:, None]
+        out[rows] *= (scale / shrink)[:, None]
 
     _each_block(data.nodes, xv, hit_rows, body)
     out[hit_rows] = values[hit_cols] / shrink
@@ -458,8 +434,27 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     out = np.ones(x.size)
 
     def body(rows, cauchy):
-        np.abs(cauchy, out=cauchy)
-        out[rows] = _node_polynomial(cauchy, log_c) * np.vecdot(cauchy, weights)
+        out[rows] = np.vecdot(np.abs(cauchy, out=cauchy), weights)
+        out[rows] *= _node_polynomial(cauchy, log_c)
 
     _each_block(nodes, x, hit_rows, body)
     return out
+
+
+# the largest Lebesgue function at x = +-1 the quotient form is used with,
+# Lambda(+-1) eps = 1e-10.  A scan of f1 samples, max over 2001 points of
+# |quotient form - fit and evaluate at L = N| / max |fit|, gave at most
+# 0.24 N Lambda(+-1) eps: 5.9e-11 at 5.1e4 (jacobi(2, 2), N = 200), 4.2e-9 at
+# 2.1e5 (jacobi(1.5, 1.5), N = 1000), 5.3e-4 at 1.1e11 (jacobi(20, -0.9), N = 20)
+_QUOTIENT_FORM_LIMIT = 1e-10 / np.finfo(float).eps
+
+
+def _check_quotient_form(rule: QuadratureRule) -> QuadratureRule:
+    """The rule, if the quotient form is stable in its nodes: ValueError
+    where the Lebesgue function at x = +-1 exceeds _QUOTIENT_FORM_LIMIT."""
+    peak = float(np.max(_lebesgue_function(rule, np.array([-1.0, 1.0]))))
+    if peak > _QUOTIENT_FORM_LIMIT:
+        raise ValueError(f"the quotient form is unstable in {len(rule)} {rule.spec.name} "
+                         f"points (N = {rule.degree}): Lebesgue function {peak:.3g} "
+                         f"at x = +-1, over {_QUOTIENT_FORM_LIMIT:.3g}")
+    return rule

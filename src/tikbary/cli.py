@@ -24,7 +24,8 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .barycentric import BarycentricData, interp_barycentric, weights_gauss
+from .barycentric import (BarycentricData, _check_quotient_form, interp_barycentric,
+                          weights_gauss)
 from .basis import BasisSpec
 from .configfile import read_config
 from .csvio import read_table, render_table
@@ -123,7 +124,7 @@ def _cmd_interp(args) -> int:
         raise ValueError(f"--eval-points must be >= 1, got {args.eval_points}")
     if args.N < 0:
         raise ValueError(f"--N must be >= 0, got {args.N}")
-    rule = gauss_rule(BasisSpec.from_name(args.basis), args.N + 1)
+    rule = _check_quotient_form(gauss_rule(BasisSpec.from_name(args.basis), args.N + 1))
     lam = _single_lambda(args)
     values = _samples_for_rule(args, rule)
     data = BarycentricData(rule.nodes, weights_gauss(rule), values, lam)

@@ -20,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .barycentric import (
     BarycentricData,
+    _check_quotient_form,
     _weights_gauss_rules,
     interp_barycentric,
     weights_gauss,
@@ -352,7 +353,7 @@ def run_fig3(config: ExperimentConfig) -> list:
     grid = _grid(config)
     f_grid = np.asarray(f(grid), dtype=float)
     reports = []
-    rules = [gauss_rule(spec, N + 1) for N in config.n_values]
+    rules = [_check_quotient_form(gauss_rule(spec, N + 1)) for N in config.n_values]
     # every rule's weights from one recurrence sweep
     weights = _weights_gauss_rules(rules)
     for i, (N, rule) in enumerate(zip(config.n_values, rules)):
@@ -393,7 +394,7 @@ def run_fig45(config: ExperimentConfig) -> list:
                          f"got {list(config.lambdas)}")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
-    rule = gauss_rule(spec, N + 1)
+    rule = _check_quotient_form(gauss_rule(spec, N + 1))
     clean = np.asarray(f(rule.nodes), dtype=float)
     lam_t = config.lambdas[-1]
     grid = _grid(config)

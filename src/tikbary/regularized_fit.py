@@ -244,9 +244,10 @@ def evaluate(approx: RegularizedApproximant, x):
     machine are bitwise equal.  The lambda = 0 values do not depend on
     lambda: an LRU cache keeps the 7 most recently used, at most 1.4 MiB
     on the 12.8k-point bound-check grid, keyed by the spec and the bytes of
-    the lambda-free coefficients and of the raveled x, and is thread-safe.  Every call divides by (1 + lambda) last, into a new
-    array, so a cached result has the bits of a fresh computation.  x may
-    have any shape; a scalar gives a float.
+    the lambda-free coefficients and of the raveled x, and is thread-safe.
+    Every call divides by (1 + lambda) last, into a new array, so a cached
+    result has the bits of a fresh computation.  x may have any shape; a
+    scalar gives a float.
     """
     x = np.asarray(x, dtype=float)
     values = _lambda_free_values(approx.spec, approx._lambda_free.tobytes(),
@@ -284,14 +285,16 @@ def default_lebesgue_grid(rule: QuadratureRule) -> np.ndarray:
 def _lebesgue_peak(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
                    grid: bytes) -> float:
     """Grid maximum of the lambda = 0 Lebesgue function of lebesgue_constant,
-    from the bytes of the nodes, the weights and the grid."""
+    from the bytes of the nodes, the weights and the grid.  At L = N it skips
+    the nodes, where the function is 1, its minimum."""
     # barycentric imports check_lambda from this module, so it is loaded here
     from .barycentric import _lebesgue_function
 
     rule = QuadratureRule(spec, np.frombuffer(nodes), np.frombuffer(weights))
     grid = np.frombuffer(grid)
     if L == rule.degree:
-        return float(np.max(_lebesgue_function(rule, grid)))
+        off_node = np.setdiff1d(grid, rule.nodes)
+        return float(np.max(_lebesgue_function(rule, off_node), initial=1.0))
     node_vals = eval_orthonormal(spec, L, rule.nodes)  # (L+1, N+1)
     step = max(1, _KERNEL_BLOCK_ENTRIES // len(rule))
     peak = 0.0
@@ -314,8 +317,8 @@ def lebesgue_constant(
     - L = N, interpolation: the kernel terms are the Lagrange polynomials,
       and the function is sum_j |l_j(x)| in first-kind barycentric form,
       |l(x)| sum_j |W_j|/|x - x_j| with the explicit Gauss-Jacobi weights
-      (barycentric._lebesgue_function).  O(G N) for G grid points, and no
-      term cancels.
+      (barycentric._lebesgue_function), O(G N) for G grid points.  No term
+      cancels, and the maximum skips the nodes, where the function is 1.
     - L < N: the kernel product, the G x (L+1) basis table times the
       (L+1) x (N+1) table at the nodes, O(G L N), in grid blocks of about
       _KERNEL_BLOCK_ENTRIES kernel entries.

@@ -5,7 +5,8 @@ solve cross-checks the closed-form fit, the degree-by-degree sum cross-checks
 the blocked GEMM values of evaluate, the Christoffel-Darboux kernel in
 direct and quotient form cross-checks the basis recurrence, the 50-digit
 quotient and first-kind forms cross-check the barycentric kernels, and the
-50-digit quadrature sums cross-check exactness_residual.
+50-digit quadrature sums cross-check exactness_residual and, with samples,
+the coefficients of fit.
 """
 
 import decimal
@@ -129,13 +130,17 @@ def first_kind_oracle(nodes, weights, values, x, dps: int = 50) -> np.ndarray:
     return out
 
 
-def quadrature_sums_oracle(rule, l_max: int, digits: int = 50):
+def quadrature_sums_oracle(rule, l_max: int, digits: int = 50, samples=None):
     """(defects, scales) at digits significant digits, for l = 0..l_max.
 
     defects[l] = sum_j w_j p_l(x_j) - sqrt(V) delta_{l0} and scales[l] =
     sum_j w_j |p_l(x_j)|, on the rule's float nodes and weights taken as
     exact, so the defects are those of the float rule itself and a float
-    evaluation of the same sums differs from them by its own rounding.  The
+    evaluation of the same sums differs from them by its own rounding.
+    Given float samples f_j, also taken as exact, every w_j carries the
+    factor f_j and nothing is subtracted: defects[l] is then the coefficient
+    sum_j w_j p_l(x_j) f_j of a fit at lambda = 0, and scales[l] is
+    sum_j |w_j p_l(x_j) f_j|.  The
     recurrence coefficients come afresh from their closed forms at that
     precision, the mass from mpmath's beta function.  decimal's C arithmetic
     runs the recurrence one degree at a time over object arrays of all the
@@ -160,6 +165,8 @@ def quadrature_sums_oracle(rule, l_max: int, digits: int = 50):
                            / (t * t * (t + 1) * (t - 1))).sqrt())
         x = np.array([D(float(v)) for v in rule.nodes], dtype=object)
         w = np.array([D(float(v)) for v in rule.weights], dtype=object)
+        if samples is not None:  # w_j f_j: 106 bits, exact at 50 digits
+            w = w * np.array([D(float(v)) for v in samples], dtype=object)
         p_prev = np.full(x.size, D(0), dtype=object)
         p = np.full(x.size, 1 / root_b[0], dtype=object)
         defects, scales = [], []
@@ -169,5 +176,6 @@ def quadrature_sums_oracle(rule, l_max: int, digits: int = 50):
             scales.append(np.abs(wp).sum())
             if l < l_max:
                 p_prev, p = p, ((x - a[l]) * p - root_b[l] * p_prev) / root_b[l + 1]
-        defects[0] -= mass.sqrt()
+        if samples is None:
+            defects[0] -= mass.sqrt()
     return np.array(defects, dtype=float), np.array(scales, dtype=float)

@@ -17,10 +17,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tikbary.barycentric as barycentric
 from tikbary.barycentric import (
     BarycentricData,
+    _check_quotient_form,
     _node_hits,
     _weights_gauss_rules,
     interp_barycentric,
@@ -616,6 +619,24 @@ class TestBlockIndependence:
             tracemalloc.stop()
         assert peak - got.nbytes < 2 * 2**20
 
+    @pytest.mark.parametrize("form", ["modified lagrange", "lebesgue"])
+    def test_first_kind_tables_stay_small(self, form):
+        # past 513 nodes the node polynomial takes log|c_j| in the rows of
+        # the work table, after the vecdot: with a table-sized copy of them
+        # for the logs, each worker's block traced 1.87 MB beyond the output
+        rule = gauss_rule(CHEB, 1001)
+        data = BarycentricData(rule.nodes, weights_gauss(rule), f1(rule.nodes))
+        call = {"modified lagrange": lambda x: interp_modified_lagrange(data, x),
+                "lebesgue": lambda x: barycentric._lebesgue_function(rule, x)}[form]
+        x = np.linspace(-1.0, 1.0, 12002)
+        tracemalloc.start()
+        try:
+            got = call(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - got.nbytes < 1.5 * 2**20
+
     @pytest.mark.parametrize("form", ["stacked quotient", "quotient",
                                       "modified lagrange", "lebesgue"])
     def test_memory_scales_with_the_output(self, form):
@@ -827,6 +848,91 @@ class TestRowShares:
 
         with pytest.raises(ArithmeticError, match="pool's share"):
             barycentric._each_block(nodes, x, np.empty(0, dtype=int), fail_last)
+
+
+class TestBlocksAreSlices:
+    """Every block body gets is a slice of consecutive off-node points of x,
+    and the blocks cover each point _node_hits leaves exactly once."""
+
+    @staticmethod
+    def _check(nodes, x, hit_rows, blocks):
+        step = barycentric._block_rows(x.size, nodes.size)
+        for rows, height in blocks:
+            assert isinstance(rows, slice) and rows.step is None
+            assert 0 <= rows.start < rows.stop <= x.size
+            assert rows.stop - rows.start == height <= step
+        seen = [np.arange(rows.start, rows.stop) for rows, _ in blocks]
+        seen = np.sort(np.concatenate(seen)) if seen else np.empty(0, dtype=int)
+        # equal to a set of distinct rows: the slices are disjoint
+        np.testing.assert_array_equal(seen, np.setdiff1d(np.arange(x.size), hit_rows))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slices_cover_the_off_node_points(self, monkeypatch, workers):
+        monkeypatch.setattr(barycentric, "_WORKERS", workers)
+        monkeypatch.setattr(barycentric, "_BLOCK_ENTRIES", 7 * 21)  # 7-row blocks
+        nodes = gauss_rule(CHEB, 21).nodes
+        step = barycentric._block_rows(10**6, nodes.size)
+        x = _rng(17).uniform(-0.99, 0.99, 12 * step + 3)
+        share = -(-x.size // 2)  # two shares on two workers
+        edges = x.copy()
+        # first and last row of x, of blocks and of the shares, and around them
+        for row in (0, 1, step - 1, step, 2 * step - 1, share - 1, share,
+                    share + 1, x.size - 1):
+            edges[row] = nodes[row % nodes.size]
+        adjacent = x.copy()
+        adjacent[share - 5:share + 12] = nodes[:17]  # across a share and blocks
+        cases = {"no hit": x, "edges": edges, "adjacent": adjacent,
+                 "only hits": nodes[_rng(18).integers(0, nodes.size, x.size)],
+                 "one ulp off": np.nextafter(edges, 2.0)}
+        for name, points in cases.items():
+            hit_rows = _node_hits(nodes, points,
+                                  barycentric._hit_radius(np.ones(nodes.size)))[0]
+            blocks = []
+            barycentric._each_block(
+                nodes, points, hit_rows,
+                lambda rows, table: blocks.append((rows, table.shape[0])))
+            self._check(nodes, points, hit_rows, blocks)
+            if name == "no hit":  # 87 rows in 7-row blocks; or 44 and 43
+                assert len(blocks) == {1: 13, 2: 14}[workers]
+            if name == "only hits":
+                assert blocks == []
+
+    def test_every_kernel_gets_slices(self, monkeypatch):
+        # the bounds grid at N = 800, every node among its points: hits in
+        # every share and nearly every block
+        rule = gauss_rule(CHEB, 801)
+        x = np.union1d(np.linspace(-1.0, 1.0, 12001), rule.nodes)
+        vals = f1(rule.nodes)
+        one = BarycentricData(rule.nodes, weights_gauss(rule), vals, LAMBDA_STAR)
+        two = BarycentricData(rule.nodes, weights_gauss(rule),
+                              np.column_stack([vals, -vals]), LAMBDA_STAR)
+        calls = {
+            "quotient": lambda: interp_barycentric(one, x),
+            "stacked quotient": lambda: interp_barycentric(two, x),
+            "modified lagrange": lambda: interp_modified_lagrange(one, x),
+            "lebesgue": lambda: barycentric._lebesgue_function(rule, x),
+        }
+        each_block = barycentric._each_block
+        seen = []
+
+        def spying(nodes, points, hit_rows, body):
+            blocks = []
+
+            def spy(rows, table):
+                blocks.append((rows, table.shape[0]))
+                body(rows, table)
+
+            each_block(nodes, points, hit_rows, spy)
+            seen.append((nodes, points, hit_rows, blocks))
+
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        monkeypatch.setattr(barycentric, "_each_block", spying)
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            [(nodes, points, hit_rows, blocks)] = seen
+            assert hit_rows.size == rule.nodes.size, name
+            self._check(nodes, points, hit_rows, blocks)
 
 
 class TestNodeHitsSkipTheTable:
@@ -1148,6 +1254,99 @@ class TestAgainstCoefficientRoute:
         c = evaluate(approx, x)
         assert np.max(np.abs(a - b)) <= 1e-9
         assert np.max(np.abs(a - c)) <= 1e-9
+
+
+def _explicit_weight_error(rule):
+    """max_j |W_j P_m/(W_m P_j) - 1|: the explicit weights W_j proportional
+    to sqrt((1 - x_j^2) w_j) that _lebesgue_function takes, against the
+    product-formula weights P_j, both scaled at m, the largest W_j.  Next to
+    node j the Lebesgue function is about W_j P_m/(W_m P_j), so this is how
+    far the rule's weights w_j may pull it below 1."""
+    nodes = rule.nodes
+    explicit = np.sqrt((1.0 - nodes) * (1.0 + nodes) * rule.weights)
+    product = np.abs(weights_product(nodes))
+    m = np.argmax(explicit)
+    return float(np.max(np.abs(explicit / explicit[m] * product[m] / product - 1.0)))
+
+
+class TestConstantsProperty:
+    """Over Chebyshev, Legendre and Jacobi rules, with x drawn in [-1, 1]
+    among nodes and points one ulp either side of them: both forms give a
+    constant c back as c/(1+lambda) within (3N + 4) eps Lambda(x) |c|, the
+    constant of Higham's bounds (IMA J. Numer. Anal. 24, 2004) taken in
+    units of eps, and the Lebesgue function is 1 or more less rounding and
+    the rule's weight error.
+
+    The quotient form takes weights_gauss, as the package does; the first
+    kind takes weights_product, since with the recurrence weights it misses
+    the constant by up to 7.3e3 N eps Lambda(x) |c| (ROADMAP item 3).  The
+    Lebesgue function dips below 1 by up to 8.0e-12 = 126 N eps next to the
+    outermost node of jacobi(-0.877, 1.21), N = 286, where the explicit
+    weight from the rule's w_j is 1.6e-11 off the 40-digit product formula;
+    so its bound is 1 - (N + 2) eps - _explicit_weight_error(rule).  c is 0
+    or at least 1e-200 in magnitude: a subnormal c misses any relative bound."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["chebyshev1", "legendre", "jacobi"]),
+           a=st.floats(-0.9, 2.0, exclude_min=True),
+           b=st.floats(-0.9, 2.0, exclude_min=True),
+           n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           c=st.one_of(st.just(0.0), st.floats(1e-200, 1e3), st.floats(-1e3, -1e-200)),
+           lam=st.floats(0.0, 10.0))
+    def test_constants_and_lebesgue_function(self, kind, a, b, n, seed, c, lam):
+        spec = BasisSpec(a, b) if kind == "jacobi" else BasisSpec.from_name(kind)
+        rule = gauss_rule(spec, n + 1)
+        rng = _rng(seed)
+        picked = rule.nodes[rng.integers(0, n + 1, 12)]
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 24), [-1.0, 1.0], picked,
+                            np.nextafter(picked, 2.0), np.nextafter(picked, -2.0)])
+        rng.shuffle(x)
+        eps = np.finfo(float).eps
+        lebesgue = barycentric._lebesgue_function(rule, x)
+        assert np.all(lebesgue >= 1.0 - (n + 2) * eps - _explicit_weight_error(rule))
+        bound = (3 * n + 4) * eps * lebesgue * abs(c)
+        want = c / (1.0 + lam)
+        for weights, form in ((weights_gauss(rule), interp_barycentric),
+                              (weights_product(rule.nodes), interp_modified_lagrange)):
+            data = BarycentricData(rule.nodes, weights, np.full(n + 1, c), lam)
+            got = form(data, x)
+            assert np.all(np.abs(got - want) <= bound), form.__name__
+
+
+class TestQuotientFormCheck:
+    """_check_quotient_form refuses a rule whose Lebesgue function at
+    x = +-1 exceeds Lambda eps = 1e-10, and passes every rule a shipped
+    config or CI run takes, up to N = 2000."""
+
+    @pytest.mark.parametrize("name", ["chebyshev1", "legendre", "jacobi(0.3,-0.25)",
+                                      "jacobi(0.5,0.5)"])
+    @pytest.mark.parametrize("n", [1, 60, 200, 1000, 2000])
+    def test_shipped_specs_pass(self, name, n):
+        rule = gauss_rule(BasisSpec.from_name(name), n + 1)
+        assert _check_quotient_form(rule) is rule
+
+    @pytest.mark.parametrize("name, n, peak", [
+        ("jacobi(20,-0.9)", 200, "1.87e+28"),
+        ("jacobi(5,0)", 200, "5.76e+09"),
+        ("jacobi(5,0)", 60, "9.79e+06"),
+        ("jacobi(2,2)", 1000, "2.78e+06"),
+    ])
+    def test_unstable_rules_raise(self, name, n, peak):
+        spec = BasisSpec.from_name(name)
+        with pytest.raises(ValueError) as info:
+            _check_quotient_form(gauss_rule(spec, n + 1))
+        assert str(info.value) == (
+            f"the quotient form is unstable in {n + 1} {spec.name} points "
+            f"(N = {n}): Lebesgue function {peak} at x = +-1, over 4.5e+05")
+
+    def test_the_limit_is_lambda_eps_1e_10(self):
+        assert barycentric._QUOTIENT_FORM_LIMIT * np.finfo(float).eps \
+            == pytest.approx(1e-10, rel=1e-15)
+        # accepted just under it, refused just over it
+        rule = gauss_rule(BasisSpec(2.0, 2.0), 201)
+        peak = float(np.max(barycentric._lebesgue_function(rule, np.array([-1.0, 1.0]))))
+        assert 5e4 < peak < barycentric._QUOTIENT_FORM_LIMIT
+        _check_quotient_form(rule)
 
 
 class TestRescaledSamples:

@@ -196,6 +196,26 @@ class TestInterp:
         assert err == "error: --N must be >= 0, got -1\n"
 
 
+    @pytest.mark.parametrize("basis, peak", [("jacobi(20,-0.9)", "1.87e+28"),
+                                             ("jacobi(5,0)", "5.76e+09")])
+    def test_unstable_quotient_form_is_a_clean_error(self, capsys, basis, peak):
+        # jacobi(20, -0.9) printed p(1) = -1.139e6 with exit 0, where the
+        # interpolant of the same samples is +9.338e21
+        code, out, err = _run(capsys, "interp", "--basis", basis, "--N", "200",
+                              "--fn", "f1", "--eval-points", "3")
+        assert code == 2 and out == ""
+        name = BasisSpec.from_name(basis).name
+        assert err == (f"error: the quotient form is unstable in 201 {name} points "
+                       f"(N = 200): Lebesgue function {peak} at x = +-1, over 4.5e+05\n")
+
+    @pytest.mark.parametrize("basis", ["chebyshev1", "legendre", "jacobi(0.3,-0.25)",
+                                       "jacobi(0.5,0.5)"])
+    def test_shipped_bases_interpolate_up_to_n_2000(self, capsys, basis):
+        code, out, err = _run(capsys, "interp", "--basis", basis, "--N", "2000",
+                              "--fn", "f1", "--eval-points", "3")
+        assert code == 0 and err == ""
+        assert len(parse_table(out).rows) == 3
+
     @pytest.mark.parametrize("message, err", [
         ("Unable to allocate 745. GiB for an array with shape (100000000000,)",
          "error: out of memory: Unable to allocate 745. GiB for an array "

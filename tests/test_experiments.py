@@ -345,6 +345,27 @@ class TestRunners:
         assert str(info.value) == message
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("experiment, n_values", [
+        ("fig3", (20, 60)), ("fig4", (60,)), ("fig5", (60,))])
+    def test_unstable_quotient_form_writes_nothing(self, tmp_path, monkeypatch,
+                                                   experiment, n_values):
+        # jacobi(5, 0) at N = 60: Lambda(+-1) = 9.8e6, and the quotient form
+        # is 1e-8 off the fit; at N = 20 it passes.  fig3 checks every rule
+        # before the weight sweep, and no weights are computed
+        sweeps = []
+        monkeypatch.setattr(barycentric, "_weights_gauss_rules",
+                            lambda rules: sweeps.append(rules))
+        monkeypatch.setattr(experiments, "_weights_gauss_rules",
+                            lambda rules: sweeps.append(rules))
+        cfg = _tiny(experiment, tmp_path, basis="jacobi(5,0)", l_values=n_values,
+                    n_values=n_values)
+        with pytest.raises(ValueError, match=r"the quotient form is unstable in 61 "
+                           r"jacobi\(5\.0,0\.0\) points \(N = 60\): Lebesgue "
+                           r"function 9\.79e\+06 at x = \+-1, over 4\.5e\+05"):
+            run(cfg)
+        assert sweeps == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_fig3_rows_cover_clean_and_noisy(self, tmp_path):
         cfg = _tiny("fig3", tmp_path, l_values=(8, 16), n_values=(8, 16))
         paths = run(cfg)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import normal_equations_oracle, per_column_values_oracle
+from oracles import normal_equations_oracle, per_column_values_oracle, quadrature_sums_oracle
 from tikbary import regularized_fit
 from tikbary.basis import BasisSpec, eval_orthonormal
 from tikbary.metrics import (LAMBDA_STAR, bound_check_l2_noise, bound_check_stability,
@@ -116,6 +116,28 @@ class TestCoefficients:
             for lam in LAMBDAS:
                 approx = fit(rule, 32, lam, samples)
                 assert approx.l2_norm <= cap / (1.0 + lam) + 1e-12
+
+
+class TestCoefficientOracle:
+    """fit at lambda = 0 against the coefficient sums sum_j w_j p_l(x_j) f_j
+    at 50 digits, on the package's float rule and f1 samples at L = N.
+
+    The bound is c eps sum_j |w_j p_l(x_j) f_j|.  The largest ratio measured
+    was 7.6 for Legendre (l = 487) and 2.7e4 at the jacobi(20, -0.9) corner
+    (l = 300), where the float basis rows near -1 carry the recurrence error
+    that TestExactnessOracle of test_quadrature measures; c leaves a factor
+    of about two to four."""
+
+    @pytest.mark.parametrize("spec, pts, c", [(LEG, 601, 16.0),
+                                              (BasisSpec(20.0, -0.9), 301, 8e4)],
+                             ids=["legendre", "jacobi20_m0.9"])
+    def test_against_50_digits(self, spec, pts, c):
+        rule = gauss_rule(spec, pts)
+        samples = f1(rule.nodes)
+        sums, scales = quadrature_sums_oracle(rule, rule.degree, samples=samples)
+        beta = fit(rule, rule.degree, 0.0, samples).coefficients
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(beta - sums) <= c * eps * scales)
 
 
 class TestEvaluate:
@@ -787,8 +809,24 @@ class TestLebesgueInterpolation:
         assert got == pytest.approx(1.0 / (1.0 + lam), rel=1e-15)
 
     def test_node_points_give_one(self):
-        rule = gauss_rule(LEG, 31)
-        assert lebesgue_constant(rule, 30, 0.0, grid=rule.nodes) == 1.0
+        # the maximum skips the nodes, where the function is 1
+        for spec in (CHEB, LEG, BasisSpec(20.0, -0.9)):
+            for N in (1, 30, 600):
+                rule = gauss_rule(spec, N + 1)
+                for grid in (rule.nodes, rule.nodes[::3]):
+                    assert lebesgue_constant(rule, N, 0.0, grid=grid) == 1.0
+
+    @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(0.3, -0.25)],
+                             ids=["chebyshev1", "legendre", "jacobi(0.3,-0.25)"])
+    @pytest.mark.parametrize("N", [1, 7, 60, 800])
+    def test_the_nodes_in_the_grid_change_no_bit(self, spec, N):
+        rule = gauss_rule(spec, N + 1)
+        scan = default_uniform_grid()
+        without = lebesgue_constant(rule, N, LAMBDA_STAR, grid=scan)
+        regularized_fit._lebesgue_peak.cache_clear()
+        with_nodes = lebesgue_constant(rule, N, LAMBDA_STAR,
+                                       grid=np.union1d(scan, rule.nodes))
+        assert with_nodes.hex() == without.hex()
 
     def test_work_tables_stay_small(self):
         # L = N = 800 on the bounds grid; the kernel product traced 80 MiB
