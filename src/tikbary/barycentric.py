@@ -254,8 +254,9 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
     entry is finite and body writes straight into its output.
 
     x is cut into contiguous shares of equal size, rounded up: as many as
-    hold two blocks each, at most _WORKERS, so a call of under four blocks
-    starts no thread.  Two shares against one worker, timed per call in 24
+    hold two blocks of off-node points each, at most _WORKERS, so a call of
+    under four such blocks, such as one at the nodes themselves, starts no
+    thread.  Two shares against one worker, timed per call in 24
     alternating rounds on a 2-core VM, ran 1.09-1.88x at one block a share;
     at two, 1.19-1.25x at N = 20, 0.91-0.99x at N = 60, and at N = 1000
     1.31-1.52x in the quotient form and 0.91-1.02x in the Lebesgue function.
@@ -268,7 +269,7 @@ def _each_block(nodes: np.ndarray, x: np.ndarray, hit_rows: np.ndarray, body):
     given.  Every thread is joined before an exception is raised.
     """
     step = _block_rows(x.size, nodes.size)
-    shares = max(1, min(_WORKERS, x.size // (2 * step)))
+    shares = max(1, min(_WORKERS, (x.size - hit_rows.size) // (2 * step)))
     share = max(1, -(-x.size // shares))
     # [x, 1] @ [1; -x_j]: both products are exact and their sum is rounded
     # once, so every entry has the bits of x - x_j.  While N < _BLOCK_ENTRIES
@@ -441,20 +442,25 @@ def _lebesgue_function(rule: QuadratureRule, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# the largest Lebesgue function at x = +-1 the quotient form is used with,
-# Lambda(+-1) eps = 1e-10.  A scan of f1 samples, max over 2001 points of
-# |quotient form - fit and evaluate at L = N| / max |fit|, gave at most
-# 0.24 N Lambda(+-1) eps: 5.9e-11 at 5.1e4 (jacobi(2, 2), N = 200), 4.2e-9 at
-# 2.1e5 (jacobi(1.5, 1.5), N = 1000), 5.3e-4 at 1.1e11 (jacobi(20, -0.9), N = 20)
-_QUOTIENT_FORM_LIMIT = 1e-10 / np.finfo(float).eps
+# the largest N Lambda(+-1) eps the quotient form is used with, Lambda(+-1)
+# the Lebesgue function at x = +-1; jacobi(0.5, 0.5) at N = 2000 reads
+# 8.9e-10.  A scan of f1 samples, max over 2001 points of |quotient form -
+# fit and evaluate at L = N| / max |fit|, gave at most 0.24 N Lambda(+-1) eps
+# at N >= 100 (2.8e-9 at jacobi(1, 1), N = 2000, refused) and 5.2 at N <= 40
+# with Jacobi exponents in [-0.5, 20], the largest accepted error being 1.6e-9
+# (jacobi(-0.5, 20), N = 7).  Exponents near -1 give 28 at -0.9 and 300 at
+# -0.99, through the error of the rule's weights near that endpoint
+_QUOTIENT_FORM_LIMIT = 1e-9
 
 
 def _check_quotient_form(rule: QuadratureRule) -> QuadratureRule:
     """The rule, if the quotient form is stable in its nodes: ValueError
-    where the Lebesgue function at x = +-1 exceeds _QUOTIENT_FORM_LIMIT."""
+    where N Lambda(+-1) eps exceeds _QUOTIENT_FORM_LIMIT."""
     peak = float(np.max(_lebesgue_function(rule, np.array([-1.0, 1.0]))))
-    if peak > _QUOTIENT_FORM_LIMIT:
+    bound = rule.degree * peak * np.finfo(float).eps
+    if bound > _QUOTIENT_FORM_LIMIT:
         raise ValueError(f"the quotient form is unstable in {len(rule)} {rule.spec.name} "
                          f"points (N = {rule.degree}): Lebesgue function {peak:.3g} "
-                         f"at x = +-1, over {_QUOTIENT_FORM_LIMIT:.3g}")
+                         f"at x = +-1, N Lambda eps = {bound:.3g}, over "
+                         f"{_QUOTIENT_FORM_LIMIT:.3g}")
     return rule

@@ -10,8 +10,10 @@ lambda = 0 recovers the plain discrete least-squares projection, which is
 interpolation when L = N.  Fitting never solves a linear system.
 
 Every lambda-dependent output is its lambda = 0 value times 1/(1+lambda):
-fit, evaluate and lebesgue_constant each compute the lambda = 0 value once
-per input, keep it in an LRU cache, and divide by (1 + lambda) last.
+fit, evaluate and lebesgue_constant each compute the lambda = 0 value and
+divide by (1 + lambda) last.  evaluate and lebesgue_constant keep theirs in
+an LRU cache per input; fit keeps nothing, and its approximant carries the
+lambda = 0 sums, so evaluate at any lambda reuses the values at lambda = 0.
 """
 
 import functools
@@ -52,12 +54,11 @@ _KERNEL_BLOCK_ENTRIES = 524288
 _DEGREE_CHUNK = 16
 _BLOCK_ENTRIES = 2**18
 
-# lambda = 0 results of fit and lebesgue_constant, each kind in its own LRU
-# cache of this many entries.  Keys hold the bytes of every input array,
-# never an id: ids are reused after garbage collection, and arrays are
-# mutable.  For the bound checks at N <= 800 on the 12.8k-point bounds grid,
-# the keys hold at most 0.35 MiB of input bytes in fit's cache and 0.51 MiB
-# in lebesgue_constant's
+# lambda = 0 grid maxima of lebesgue_constant, in an LRU cache of this many
+# entries.  Keys hold the bytes of every input array, never an id: ids are
+# reused after garbage collection, and arrays are mutable.  For the bound
+# checks at N <= 800 on the 12.8k-point bounds grid, the keys hold at most
+# 0.51 MiB of input bytes
 _LAMBDA_FREE_ENTRIES = 16
 
 # lambda = 0 values of evaluate, in an LRU cache of their own.  The bound
@@ -146,31 +147,16 @@ def _check_samples(rule: QuadratureRule, samples) -> np.ndarray:
     return samples
 
 
-@functools.lru_cache(maxsize=_LAMBDA_FREE_ENTRIES)
-def _weighted_sums(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
-                   samples: bytes) -> np.ndarray:
-    """The lambda = 0 coefficients sum_j w_j p_l(x_j) f_j, read-only, from
-    the bytes of the nodes, the weights and the samples."""
-    nodes, weights, samples = (np.frombuffer(b) for b in (nodes, weights, samples))
-    wf = weights * samples
-    beta = np.array([wf @ p for p in _orthonormal_rows(spec, L, nodes)])
-    beta.setflags(write=False)
-    return beta
-
-
 def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproximant:
     """Closed-form coefficients from weighted sums against the basis.
 
     One recurrence sweep over the basis degree; per degree the weighted
     samples are folded in, so nothing of size (N+1) x (L+1) is stored.
 
-    The sums do not depend on lambda: an LRU cache keeps the 16 most
-    recently used, keyed by the spec, L and the bytes of the nodes, the
-    weights and the samples, and is thread-safe.  Inputs are validated on
-    every call, and every call divides the sums by (1 + lambda) last, into
-    a new array, so a cached result has the bits of a fresh computation.
-    The approximant carries the sums themselves as its lambda-free
-    coefficients, for evaluate.
+    The sums do not depend on lambda, and every call computes them afresh
+    and divides them by (1 + lambda) last, into a new array.  The
+    approximant carries the sums themselves, read-only, as its lambda-free
+    coefficients, so evaluate at any lambda reuses its values at lambda = 0.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -181,8 +167,9 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
         )
     check_lambda(lam)
     samples = _check_samples(rule, samples)
-    sums = _weighted_sums(rule.spec, L, rule.nodes.tobytes(), rule.weights.tobytes(),
-                          samples.tobytes())
+    wf = rule.weights * samples
+    sums = np.array([wf @ p for p in _orthonormal_rows(rule.spec, L, rule.nodes)])
+    sums.setflags(write=False)
     approx = RegularizedApproximant(spec=rule.spec, degree=L, lam=lam,
                                     coefficients=sums / (1.0 + lam))
     object.__setattr__(approx, "_lambda_free", sums)

@@ -1,6 +1,6 @@
 """Every test starts with empty lambda-free caches of regularized_fit, those
-of fit, evaluate and lebesgue_constant, so a test that compares two
-computations of one input computes both."""
+of evaluate and lebesgue_constant, so a test that compares two computations
+of one input computes both."""
 
 import pytest
 
@@ -9,6 +9,5 @@ from tikbary import regularized_fit
 
 @pytest.fixture(autouse=True)
 def _empty_lambda_free_caches():
-    regularized_fit._weighted_sums.cache_clear()
     regularized_fit._lebesgue_peak.cache_clear()
     regularized_fit._lambda_free_values.cache_clear()

@@ -353,7 +353,6 @@ def test_criterion_13_determinism(tmp_path):
     ]
     for config in configs:
         first = {p: Path(p).read_bytes() for p in run(config)}
-        regularized_fit._weighted_sums.cache_clear()
         regularized_fit._lebesgue_peak.cache_clear()
         regularized_fit._lambda_free_values.cache_clear()
         second = {p: Path(p).read_bytes() for p in run(config)}

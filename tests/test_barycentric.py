@@ -762,6 +762,27 @@ class TestRowShares:
             assert max(rows.values()) - min(rows.values()) <= 1 + hits, name
             assert sum(rows.values()) == points - hits, name
 
+    def test_shares_are_counted_in_off_node_rows(self, monkeypatch):
+        # fig3's L2 pass at N >= 100 evaluates at the rule's own nodes, which
+        # are all hits: no table is built, so no thread is started.  fig3's
+        # grid at the same N still runs on two shares
+        started = []
+
+        class Counting(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        monkeypatch.setattr(threading, "Thread", Counting)
+        rule = gauss_rule(CHEB, 1001)
+        data = BarycentricData(rule.nodes, weights_gauss(rule),
+                               np.column_stack([f3(rule.nodes), f1(rule.nodes)]))
+        np.testing.assert_array_equal(interp_barycentric(data, rule.nodes), data.values)
+        assert started == []
+        interp_barycentric(data, experiments._grid(experiments.paper_config("fig3")))
+        assert len(started) == 1
+
     def test_threads_sharing_the_pool_get_single_thread_bits(self, monkeypatch):
         # 8 callers, each on points of its own, switched every microsecond
         calls, x = self._case(600)
@@ -1313,9 +1334,19 @@ class TestConstantsProperty:
             assert np.all(np.abs(got - want) <= bound), form.__name__
 
 
+# (spec, N, Lambda(+-1), N Lambda(+-1) eps) of rules the quotient form refuses
+_UNSTABLE_RULES = [
+    ("jacobi(20,-0.9)", 200, "1.87e+28", "8.32e+14"),
+    ("jacobi(5,0)", 200, "5.76e+09", "0.000256"),
+    ("jacobi(5,0)", 60, "9.79e+06", "1.3e-07"),
+    ("jacobi(2,2)", 1000, "2.78e+06", "6.17e-07"),
+    ("jacobi(2,2)", 200, "5.15e+04", "2.29e-09"),
+]
+
+
 class TestQuotientFormCheck:
     """_check_quotient_form refuses a rule whose Lebesgue function at
-    x = +-1 exceeds Lambda eps = 1e-10, and passes every rule a shipped
+    x = +-1 times N eps exceeds 1e-9, and passes every rule a shipped
     config or CI run takes, up to N = 2000."""
 
     @pytest.mark.parametrize("name", ["chebyshev1", "legendre", "jacobi(0.3,-0.25)",
@@ -1325,28 +1356,29 @@ class TestQuotientFormCheck:
         rule = gauss_rule(BasisSpec.from_name(name), n + 1)
         assert _check_quotient_form(rule) is rule
 
-    @pytest.mark.parametrize("name, n, peak", [
-        ("jacobi(20,-0.9)", 200, "1.87e+28"),
-        ("jacobi(5,0)", 200, "5.76e+09"),
-        ("jacobi(5,0)", 60, "9.79e+06"),
-        ("jacobi(2,2)", 1000, "2.78e+06"),
-    ])
-    def test_unstable_rules_raise(self, name, n, peak):
+    @pytest.mark.parametrize("name, n, peak, bound", [
+        pytest.param(*case, id="-".join(map(str, case[:3]))) for case in _UNSTABLE_RULES])
+    def test_unstable_rules_raise(self, name, n, peak, bound):
         spec = BasisSpec.from_name(name)
         with pytest.raises(ValueError) as info:
             _check_quotient_form(gauss_rule(spec, n + 1))
         assert str(info.value) == (
             f"the quotient form is unstable in {n + 1} {spec.name} points "
-            f"(N = {n}): Lebesgue function {peak} at x = +-1, over 4.5e+05")
+            f"(N = {n}): Lebesgue function {peak} at x = +-1, N Lambda eps = "
+            f"{bound}, over 1e-09")
 
-    def test_the_limit_is_lambda_eps_1e_10(self):
-        assert barycentric._QUOTIENT_FORM_LIMIT * np.finfo(float).eps \
-            == pytest.approx(1e-10, rel=1e-15)
-        # accepted just under it, refused just over it
-        rule = gauss_rule(BasisSpec(2.0, 2.0), 201)
-        peak = float(np.max(barycentric._lebesgue_function(rule, np.array([-1.0, 1.0]))))
-        assert 5e4 < peak < barycentric._QUOTIENT_FORM_LIMIT
-        _check_quotient_form(rule)
+    def test_the_limit_is_n_lambda_eps_1e_9(self):
+        # N Lambda(+-1) eps, not Lambda(+-1) alone: jacobi(-0.5, 20) at N = 7
+        # has Lambda(+-1) = 4.9e5 and passes, where jacobi(2, 2) at N = 200
+        # has 5.1e4 and is refused; jacobi(0.5, 0.5) at N = 2000 passes just under
+        assert barycentric._QUOTIENT_FORM_LIMIT == 1e-9
+        eps = np.finfo(float).eps
+        for spec, n, lo, hi in ((BasisSpec(-0.5, 20.0), 7, 4.5e5, 1e-9 / (7 * eps)),
+                                (BasisSpec(0.5, 0.5), 2000, 1.9e3, 1e-9 / (2000 * eps))):
+            rule = gauss_rule(spec, n + 1)
+            peak = float(np.max(barycentric._lebesgue_function(rule, np.array([-1.0, 1.0]))))
+            assert lo < peak < hi
+            assert _check_quotient_form(rule) is rule
 
 
 class TestRescaledSamples:

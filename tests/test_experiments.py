@@ -294,7 +294,6 @@ class TestRunners:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = _tiny("fig1", tmp_path, l_values=(8, 16), n_values=(32,))
         first = {p: Path(p).read_bytes() for p in run(cfg)}
-        regularized_fit._weighted_sums.cache_clear()
         regularized_fit._lebesgue_peak.cache_clear()
         regularized_fit._lambda_free_values.cache_clear()
         second = {p: Path(p).read_bytes() for p in run(cfg)}
@@ -349,8 +348,8 @@ class TestRunners:
         ("fig3", (20, 60)), ("fig4", (60,)), ("fig5", (60,))])
     def test_unstable_quotient_form_writes_nothing(self, tmp_path, monkeypatch,
                                                    experiment, n_values):
-        # jacobi(5, 0) at N = 60: Lambda(+-1) = 9.8e6, and the quotient form
-        # is 1e-8 off the fit; at N = 20 it passes.  fig3 checks every rule
+        # jacobi(5, 0) at N = 60: N Lambda(+-1) eps = 1.3e-7, and the quotient
+        # form is 1e-8 off the fit; at N = 20 it passes.  fig3 checks every rule
         # before the weight sweep, and no weights are computed
         sweeps = []
         monkeypatch.setattr(barycentric, "_weights_gauss_rules",
@@ -361,7 +360,8 @@ class TestRunners:
                     n_values=n_values)
         with pytest.raises(ValueError, match=r"the quotient form is unstable in 61 "
                            r"jacobi\(5\.0,0\.0\) points \(N = 60\): Lebesgue "
-                           r"function 9\.79e\+06 at x = \+-1, over 4\.5e\+05"):
+                           r"function 9\.79e\+06 at x = \+-1, N Lambda eps = "
+                           r"1\.3e-07, over 1e-09"):
             run(cfg)
         assert sweeps == []
         assert list(tmp_path.iterdir()) == []

@@ -18,8 +18,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import normal_equations_oracle, per_column_values_oracle, quadrature_sums_oracle
-from tikbary import regularized_fit
-from tikbary.basis import BasisSpec, eval_orthonormal
+from tikbary import barycentric, regularized_fit
+from tikbary.basis import BasisSpec, _orthonormal_rows, eval_orthonormal
 from tikbary.metrics import (LAMBDA_STAR, bound_check_l2_noise, bound_check_stability,
                              bound_check_uniform_noise, default_uniform_grid,
                              truncation_surrogates)
@@ -466,19 +466,39 @@ class TestLebesgueConstant:
 
 
 class TestLambdaFreeMemo:
-    """fit and lebesgue_constant cache their lambda = 0 result per input; a
-    warm call must give the bits of a cold one, a changed input must never
-    get a stale result, and threads must not break the caches."""
+    """lebesgue_constant caches its lambda = 0 result per input, and fit
+    computes its sums afresh on every call; a warm call must give the bits
+    of a cold one, a changed input must never get a stale result, and
+    threads must not break the cache."""
 
-    def test_warm_fit_is_bitwise_cold(self):
-        rule = gauss_rule(LEG, 21)
-        samples = _rng(21).uniform(-1.0, 1.0, 21)
-        cold = fit(rule, 12, LAMBDA_STAR, samples).coefficients
-        regularized_fit._weighted_sums.cache_clear()
-        fit(rule, 12, 0.0, samples)
-        warm = fit(rule, 12, LAMBDA_STAR, samples).coefficients
-        assert regularized_fit._weighted_sums.cache_info()[:2] == (1, 1)
-        assert warm.tobytes() == cold.tobytes()
+    def test_fit_recomputes_and_evaluate_hits_at_lambda_star(self, monkeypatch):
+        # the bound checks' pattern: fit and evaluate at lambda = 0, then at
+        # lambda*.  Each fit runs the recurrence over the nodes, and the
+        # lambda-free sums of the two are the same bytes, so the lambda*
+        # values come from evaluate's cache: no recurrence over the grid
+        swept = []
+
+        def spy(spec, L, x, **kwargs):
+            swept.append(x.size)
+            return _orthonormal_rows(spec, L, x, **kwargs)
+
+        monkeypatch.setattr(regularized_fit, "_orthonormal_rows", spy)
+        rule = gauss_rule(CHEB, 41)
+        samples = _rng(21).uniform(-1.0, 1.0, 41)
+        grid = np.union1d(np.linspace(-1.0, 1.0, 301), rule.nodes)
+        plain = fit(rule, 30, 0.0, samples)
+        again = fit(rule, 30, 0.0, samples)
+        assert swept == [41, 41]
+        assert again.coefficients.tobytes() == plain.coefficients.tobytes()
+        assert again._lambda_free.tobytes() == plain._lambda_free.tobytes()
+        base = evaluate(plain, grid)
+        shrunk = fit(rule, 30, LAMBDA_STAR, samples)
+        assert shrunk._lambda_free.tobytes() == plain._lambda_free.tobytes()
+        hits = regularized_fit._lambda_free_values.cache_info().hits
+        values = evaluate(shrunk, grid)
+        assert swept == [41, 41, grid.size, 41]
+        assert regularized_fit._lambda_free_values.cache_info().hits == hits + 1
+        assert values.tobytes() == (base / (1.0 + LAMBDA_STAR)).tobytes()
 
     @pytest.mark.parametrize("L", [12, 20], ids=["L<N", "L=N"])
     def test_warm_lebesgue_is_bitwise_cold(self, L):
@@ -495,11 +515,10 @@ class TestLambdaFreeMemo:
         samples = _rng(22).uniform(-1.0, 1.0, 17)
         before = fit(rule, 10, 0.0, samples).coefficients
         samples[3] += 0.5
-        warm = fit(rule, 10, 0.0, samples).coefficients
-        regularized_fit._weighted_sums.cache_clear()
-        cold = fit(rule, 10, 0.0, samples).coefficients
-        assert warm.tobytes() == cold.tobytes()
-        assert not np.array_equal(warm, before)
+        after = fit(rule, 10, 0.0, samples).coefficients
+        want = fit(rule, 10, 0.0, samples.copy()).coefficients
+        assert after.tobytes() == want.tobytes()
+        assert not np.array_equal(after, before)
 
     def test_returned_coefficients_belong_to_the_caller(self):
         rule = gauss_rule(CHEB, 17)
@@ -519,12 +538,6 @@ class TestLambdaFreeMemo:
             == (2.0 * beta).tobytes()
         assert lebesgue_constant(heavy, 12, 0.0) == 2.0 * lebesgue_constant(rule, 12, 0.0)
 
-    def test_fit_and_lebesgue_keys_stay_apart(self):
-        # the samples of the fit are the bytes of the Lebesgue grid
-        rule = gauss_rule(LEG, 31)
-        fit(rule, 30, 0.0, rule.nodes)
-        assert lebesgue_constant(rule, 30, 0.0, grid=rule.nodes) == 1.0
-
     def test_warm_calls_still_validate(self):
         rule = gauss_rule(LEG, 9)
         samples = _rng(25).uniform(-1.0, 1.0, 9)
@@ -543,14 +556,18 @@ class TestLambdaFreeMemo:
 
     def test_holds_at_most_16_entries_dropping_the_oldest(self):
         rule = gauss_rule(CHEB, 9)
+
+        def grid(k):
+            return np.linspace(-1.0, 1.0 - 0.01 * k, 9)
+
         for k in range(20):
-            fit(rule, 4, 0.0, np.full(9, float(k)))
-        info = regularized_fit._weighted_sums.cache_info()
+            lebesgue_constant(rule, 4, 0.0, grid=grid(k))
+        info = regularized_fit._lebesgue_peak.cache_info()
         assert info.currsize == info.maxsize == 16
-        fit(rule, 4, 0.0, np.full(9, 19.0))
-        assert regularized_fit._weighted_sums.cache_info().hits == info.hits + 1
-        fit(rule, 4, 0.0, np.full(9, 0.0))
-        assert regularized_fit._weighted_sums.cache_info().misses == info.misses + 1
+        lebesgue_constant(rule, 4, 0.0, grid=grid(19))
+        assert regularized_fit._lebesgue_peak.cache_info().hits == info.hits + 1
+        lebesgue_constant(rule, 4, 0.0, grid=grid(0))
+        assert regularized_fit._lebesgue_peak.cache_info().misses == info.misses + 1
 
     def test_threads_get_the_bits_of_a_single_thread(self):
         # 8 threads, each on inputs of its own, switched every microsecond:
@@ -577,7 +594,6 @@ class TestLambdaFreeMemo:
 
         # every key is new, so every call here is a cold one
         cold = [at_lambda_star(*args) for t in range(8) for args in rounds(t)]
-        regularized_fit._weighted_sums.cache_clear()
         regularized_fit._lebesgue_peak.cache_clear()
         got, errors = [None] * 8, []
 
@@ -722,7 +738,6 @@ class TestLambdaFreeValues:
 
         # every key is new, so every call here is a cold one
         cold = [at_lambda_star(*args) for t in range(8) for args in rounds(t)]
-        regularized_fit._weighted_sums.cache_clear()
         regularized_fit._lambda_free_values.cache_clear()
         got, errors = [None] * 8, []
 
@@ -827,6 +842,30 @@ class TestLebesgueInterpolation:
         with_nodes = lebesgue_constant(rule, N, LAMBDA_STAR,
                                        grid=np.union1d(scan, rule.nodes))
         assert with_nodes.hex() == without.hex()
+
+    def test_the_nodes_cost_no_block(self, monkeypatch):
+        # the bounds grid holds every node; without the node skip each node
+        # hit would end a block, 802 short blocks in place of 170 full ones,
+        # to the same float
+        rule = gauss_rule(CHEB, 801)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        off_node = grid.size - rule.nodes.size
+        blocks = []
+        each_block = barycentric._each_block
+
+        def counting(nodes, x, hit_rows, body):
+            def spy(rows, table):
+                blocks.append(table.shape[0])
+                body(rows, table)
+
+            each_block(nodes, x, hit_rows, spy)
+
+        monkeypatch.setattr(barycentric, "_WORKERS", 2)
+        monkeypatch.setattr(barycentric, "_each_block", counting)
+        lebesgue_constant(rule, 800, 0.0, grid=grid)
+        assert sum(blocks) == off_node
+        step = barycentric._block_rows(off_node, rule.nodes.size)
+        assert len(blocks) <= -(-off_node // step) + 2
 
     def test_work_tables_stay_small(self):
         # L = N = 800 on the bounds grid; the kernel product traced 80 MiB
