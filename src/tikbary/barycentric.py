@@ -2,14 +2,15 @@
 
 Two evaluation forms of the same degree-N interpolant through N+1 nodes:
 
-    modified Lagrange   p(x) = l(x)/(1+lambda) * sum_j W_j f_j / (x - x_j)
-    quotient form       p(x) = [sum_j W_j f_j/(x-x_j)] / [(1+lambda) sum_j W_j/(x-x_j)]
+    modified Lagrange   p(x) = l(x) sum_j W_j f_j/(x - x_j)              / (1+lambda)
+    quotient form       p(x) = sum_j W_j f_j/(x-x_j) / sum_j W_j/(x-x_j)  / (1+lambda)
 
 with l(x) the node polynomial and W_j the barycentric weights
 1/prod_{k != j}(x_j - x_k).  The quotient form is invariant under common
 rescaling of the weights; the modified Lagrange form is not, so it re-anchors
-whatever weights it is given to the product-formula scale.  lambda = 0 gives
-the classical interpolant; lambda > 0 multiplies it by 1/(1+lambda).
+whatever weights it is given to the product-formula scale.  Each form
+divides its classical (lambda = 0) result by 1 + lambda last, as every
+lambda-dependent output does, so it is bitwise that result over 1 + lambda.
 
 Both forms and the Lebesgue function are one Cauchy kernel, two
 normalizations: _each_block alone forms the table c_j = 1/(x - x_j), and
@@ -33,6 +34,7 @@ One rule gives every sign: the nodes are finite and strictly increasing,
 as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
 """
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -41,9 +43,9 @@ import numpy as np
 
 from .basis import _orthonormal_rows
 from .quadrature import QuadratureRule
-from .regularized_fit import check_lambda
 
 __all__ = [
+    "check_lambda",
     "BarycentricData",
     "weights_product",
     "weights_gauss",
@@ -147,6 +149,16 @@ def _weights_gauss_rules(rules) -> list:
         for i in by_degree.get(n, ()):
             out[i] = rules[i].weights * phi_n[starts[i]:ends[i]]
     return out
+
+
+def check_lambda(lam) -> None:
+    """Raise ValueError unless lam is a finite number >= 0.
+
+    A NaN passes a plain lam < 0 test and would flow through every division
+    by 1 + lambda, so finiteness is checked explicitly.
+    """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,16 +339,16 @@ def _node_polynomial(cauchy: np.ndarray, log_c: float) -> np.ndarray:
 
 
 def interp_modified_lagrange(data: BarycentricData, x):
-    """Evaluate l(x)/(1+lambda) * sum_j W_j f_j/(x - x_j) at x.
+    """Evaluate l(x) sum_j W_j f_j/(x - x_j), divided by 1 + lambda last, at x.
 
     Off [-1, 1] this is the form to use: it is backward stable at any x
     (Higham 2004), the quotient form only on the interval.  x must be
-    finite.  A point within _hit_radius of a node returns f_j/(1+lambda);
-    other points go through the formula.  Each row block is one vecdot of
-    the Cauchy rows against the rows W * f_c, times the signed node
-    polynomial of the same rows, whose scale anchor carries the weights to
-    the product-formula scale.  Values of shape (N+1, k) give x.shape +
-    (k,), column c bitwise the result for values[:, c] alone.
+    finite.  A point within _hit_radius of a node takes f_j; other points
+    go through the classical formula.  Each row block is one vecdot of the
+    Cauchy rows against the rows W * f_c, times the signed node polynomial
+    of the same rows, whose scale anchor carries the weights to the
+    product-formula scale.  Values of shape (N+1, k) give x.shape + (k,),
+    column c bitwise the result for values[:, c] alone.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -347,30 +359,30 @@ def interp_modified_lagrange(data: BarycentricData, x):
     np.multiply(values.T, data.weights, out=weighted)
     log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
     hit_rows, hit_cols = _node_hits(data.nodes, xv, _hit_radius(weighted, log_c))
-    shrink = 1.0 + data.lam
     out = np.empty((xv.size, values.shape[1]))
 
     def body(rows, cauchy):
         out[rows] = np.vecdot(cauchy[:, None, :], weighted)
         above = len(data) - np.searchsorted(data.nodes, xv[rows])
         scale = np.where(above % 2, -sign_c, sign_c) * _node_polynomial(cauchy, log_c)
-        out[rows] *= (scale / shrink)[:, None]
+        out[rows] *= scale[:, None]
 
     _each_block(data.nodes, xv, hit_rows, body)
-    out[hit_rows] = values[hit_cols] / shrink
+    out[hit_rows] = values[hit_cols]
+    out /= 1.0 + data.lam
     out = out.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
 
 
 def interp_barycentric(data: BarycentricData, x):
-    """Evaluate the quotient form at x; scale of the weights is immaterial.
+    """Evaluate the quotient form at x, divided by 1 + lambda last; weight scale is immaterial.
 
     The form is meant for x in [-1, 1]; use interp_modified_lagrange off it.
     |x| > 1 is not rejected, since BarycentricData accepts nodes anywhere.
-    x must be finite.  A point within _hit_radius of a node returns
-    f_j/(1+lambda).  For real distinct nodes with alternating weights the
-    denominator cannot vanish off the nodes; a zero there means corrupted
-    data and raises.
+    x must be finite.  A point within _hit_radius of a node takes f_j.  For
+    real distinct nodes with alternating weights the exact denominator
+    cannot vanish off the nodes; a zero there, from inconsistent weights or
+    a sum that cancels in these nodes, raises.
 
     Each row block costs three full-table ops: the differences x - x_j as
     one exact K = 2 GEMM and the Cauchy entries c_j in their place, both in
@@ -405,10 +417,10 @@ def interp_barycentric(data: BarycentricData, x):
     denom[hit_rows] = 1.0
     if np.any(denom == 0.0):
         raise RuntimeError(
-            "barycentric denominator vanished off-node; weights are inconsistent"
-        )
-    denom *= 1.0 + data.lam
+            "barycentric denominator vanished off-node: the weights are inconsistent, "
+            "or the quotient form cancels in these nodes; use interp_modified_lagrange")
     out /= denom
+    out /= 1.0 + data.lam
     out = out.T.reshape(x.shape + data.values.shape[1:])
     return float(out) if out.ndim == 0 else out
 

@@ -122,8 +122,8 @@ def _cmd_fit(args) -> int:
 def _cmd_interp(args) -> int:
     if args.eval_points < 1:
         raise ValueError(f"--eval-points must be >= 1, got {args.eval_points}")
-    if args.N < 0:
-        raise ValueError(f"--N must be >= 0, got {args.N}")
+    if args.N < 1:  # interpolation needs two nodes
+        raise ValueError(f"--N must be >= 1, got {args.N}")
     rule = _check_quotient_form(gauss_rule(BasisSpec.from_name(args.basis), args.N + 1))
     lam = _single_lambda(args)
     values = _samples_for_rule(args, rule)

@@ -22,6 +22,7 @@ from .barycentric import (
     BarycentricData,
     _check_quotient_form,
     _weights_gauss_rules,
+    check_lambda,
     interp_barycentric,
     weights_gauss,
 )
@@ -40,7 +41,6 @@ from .metrics import (
     lambda_sweep,
 )
 from .quadrature import gauss_rule
-from .regularized_fit import check_lambda
 from .signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 from .svgplot import render_csv_text
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .barycentric import _lebesgue_function, check_lambda
 from .basis import BasisSpec, _orthonormal_rows, eval_orthonormal
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -71,14 +72,10 @@ _LAMBDA_FREE_ENTRIES = 16
 _EVALUATE_ENTRIES = 7
 
 
-def check_lambda(lam) -> None:
-    """Raise ValueError unless lam is a finite number >= 0.
-
-    A NaN passes a plain lam < 0 test and would flow through every division
-    by 1 + lambda, so finiteness is checked explicitly.
-    """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+def _check_degree(L, N: int) -> None:
+    """Raise ValueError unless the degree L is an integer, not a bool, in 0..N."""
+    if isinstance(L, bool) or not isinstance(L, numbers.Integral) or not 0 <= L <= N:
+        raise ValueError(f"degree L must be an integer in 0..N = 0..{N}, got {L!r}")
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -158,13 +155,7 @@ def fit(rule: QuadratureRule, L: int, lam: float, samples) -> RegularizedApproxi
     approximant carries the sums themselves, read-only, as its lambda-free
     coefficients, so evaluate at any lambda reuses its values at lambda = 0.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    if L > rule.degree:
-        raise ValueError(
-            f"degree L={L} exceeds rule degree N={rule.degree}; "
-            "the quadrature identity needs L <= N"
-        )
+    _check_degree(L, rule.degree)
     check_lambda(lam)
     samples = _check_samples(rule, samples)
     wf = rule.weights * samples
@@ -244,8 +235,7 @@ def evaluate(approx: RegularizedApproximant, x):
 
 def gram_matrix_residual(rule: QuadratureRule, L: int) -> float:
     """Max-norm of A'WA - I, the discrete orthonormality defect."""
-    if L > rule.degree:
-        raise ValueError("degree L exceeds rule degree N")
+    _check_degree(L, rule.degree)
     A = eval_orthonormal(rule.spec, L, rule.nodes).T
     G = A.T @ (rule.weights[:, None] * A)
     return float(np.max(np.abs(G - np.eye(L + 1))))
@@ -274,9 +264,6 @@ def _lebesgue_peak(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
     """Grid maximum of the lambda = 0 Lebesgue function of lebesgue_constant,
     from the bytes of the nodes, the weights and the grid.  At L = N it skips
     the nodes, where the function is 1, its minimum."""
-    # barycentric imports check_lambda from this module, so it is loaded here
-    from .barycentric import _lebesgue_function
-
     rule = QuadratureRule(spec, np.frombuffer(nodes), np.frombuffer(weights))
     grid = np.frombuffer(grid)
     if L == rule.degree:
@@ -316,11 +303,11 @@ def lebesgue_constant(
     weights and the validated grid, and is thread-safe.  The division
     happens last, on every call, so a cached maximum gives the bits of a
     fresh computation.  Inputs are validated on every call.  Raises
-    ValueError for L outside 0..N, a negative or non-finite lambda, an
-    empty grid, or grid entries that are not finite or lie outside [-1, 1].
+    ValueError for L not an integer in 0..N, a negative or non-finite
+    lambda, an empty grid, or grid entries that are not finite or lie
+    outside [-1, 1].
     """
-    if not 0 <= L <= rule.degree:
-        raise ValueError(f"degree L must lie in 0..N = 0..{rule.degree}, got {L}")
+    _check_degree(L, rule.degree)
     check_lambda(lam)
     grid = _check_grid(default_lebesgue_grid(rule) if grid is None else grid)
     if np.any(np.abs(grid) > 1.0):

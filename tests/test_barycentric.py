@@ -33,9 +33,9 @@ from tikbary.barycentric import (
 )
 from tikbary import experiments
 from tikbary.basis import BasisSpec, _orthonormal_rows
-from tikbary.metrics import LAMBDA_STAR
+from tikbary.metrics import LAMBDA_STAR, default_uniform_grid
 from tikbary.quadrature import gauss_rule
-from tikbary.regularized_fit import evaluate, fit
+from tikbary.regularized_fit import evaluate, fit, lebesgue_constant
 from tikbary.signals import add_noise, f1, f3
 
 from oracles import first_kind_oracle, quotient_form_oracle
@@ -299,17 +299,37 @@ class TestFormulas:
                 <= 1e-13
 
     def test_shrinkage_factor_law(self):
-        rule = gauss_rule(CHEB, 31)
-        vals = f1(rule.nodes)
-        x = _rng(7).uniform(-1.0, 1.0, 100)
-        plain = BarycentricData(rule.nodes, weights_gauss(rule), vals, 0.0)
-        for lam in (1e-2, 1.0):
-            shrunk = BarycentricData(rule.nodes, weights_gauss(rule), vals,
-                                     lam)
-            for form in (interp_barycentric, interp_modified_lagrange):
-                a = form(shrunk, x)
-                b = form(plain, x) / (1.0 + lam)
-                assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
+        # every lambda-dependent output is bitwise its lambda = 0 output over
+        # 1 + lambda: the fit's coefficients, evaluate, lebesgue_constant
+        # (L = N and L < N) and both barycentric forms.  513 and 514 nodes
+        # straddle the direct and the log-space node polynomial
+        for spec in (CHEB, LEG, BasisSpec(0.3, -0.25)):
+            for N in (20, 60, 512, 513):
+                rule = gauss_rule(spec, N + 1)
+                x = np.union1d(default_uniform_grid(), rule.nodes)
+                vals = np.column_stack([f1(rule.nodes), f3(rule.nodes)])
+                plain = BarycentricData(rule.nodes, weights_gauss(rule), vals, 0.0)
+                fits = [fit(rule, N, 0.0, v) for v in vals.T]
+                outputs = {
+                    form: form(plain, x)
+                    for form in (interp_barycentric, interp_modified_lagrange)}
+                constants = {L: lebesgue_constant(rule, L, 0.0, grid=x)
+                             for L in (N // 2, N)}
+                for lam in (1e-2, LAMBDA_STAR, 1.0):
+                    shrunk = BarycentricData(rule.nodes, weights_gauss(rule), vals,
+                                             lam)
+                    for form, out in outputs.items():
+                        np.testing.assert_array_equal(form(shrunk, x),
+                                                      out / (1.0 + lam))
+                    for L, peak in constants.items():
+                        assert lebesgue_constant(rule, L, lam, grid=x) \
+                            == peak / (1.0 + lam)
+                    for v, approx in zip(vals.T, fits):
+                        got = fit(rule, N, lam, v)
+                        np.testing.assert_array_equal(
+                            got.coefficients, approx.coefficients / (1.0 + lam))
+                        np.testing.assert_array_equal(
+                            evaluate(got, x), evaluate(approx, x) / (1.0 + lam))
 
     # 513 is the last node count with a direct product, 514 the first in
     # log space; 1001 is fig3's largest at paper scale
@@ -1379,6 +1399,21 @@ class TestQuotientFormCheck:
             peak = float(np.max(barycentric._lebesgue_function(rule, np.array([-1.0, 1.0]))))
             assert lo < peak < hi
             assert _check_quotient_form(rule) is rule
+
+    def test_cancelling_quotient_form_is_not_blamed_on_the_weights(self):
+        # valid Gauss weights, Lambda(+-1) = 6.7e13: the message blamed the
+        # weights alone.  It names the cancellation and the stable form,
+        # which evaluates the same data
+        rule = gauss_rule(BasisSpec(-0.9, 20.0), 32)
+        data = BarycentricData(rule.nodes, weights_gauss(rule), f1(rule.nodes))
+        x = np.linspace(-1.0, 1.0, 2001)
+        with pytest.raises(RuntimeError) as info:
+            interp_barycentric(data, x)
+        assert str(info.value) == (
+            "barycentric denominator vanished off-node: the weights are "
+            "inconsistent, or the quotient form cancels in these nodes; use "
+            "interp_modified_lagrange")
+        assert np.all(np.isfinite(interp_modified_lagrange(data, x)))
 
 
 class TestRescaledSamples:

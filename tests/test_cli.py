@@ -193,7 +193,23 @@ class TestInterp:
     def test_negative_degree_names_its_flag(self, capsys):
         code, out, err = _run(capsys, "interp", "--N", "-1", "--fn", "f1")
         assert code == 2 and out == ""
-        assert err == "error: --N must be >= 0, got -1\n"
+        assert err == "error: --N must be >= 1, got -1\n"
+
+    def test_degree_zero_names_its_flag(self, capsys):
+        # one node passed the flag check and failed in BarycentricData with
+        # "need at least two nodes"
+        code, out, err = _run(capsys, "interp", "--N", "0", "--fn", "f1")
+        assert code == 2 and out == ""
+        assert err == "error: --N must be >= 1, got 0\n"
+
+    def test_lambda_divides_the_lambda_0_values_last(self, capsys):
+        _, plain, _ = _run(capsys, "interp", "--N", "60", "--fn", "f3")
+        code, shrunk, _ = _run(capsys, "interp", "--N", "60", "--fn", "f3",
+                               "--lambda", "0.1995")
+        assert code == 0
+        np.testing.assert_array_equal(
+            parse_table(shrunk).column("value", as_float=True),
+            np.array(parse_table(plain).column("value", as_float=True)) / 1.1995)
 
 
     @pytest.mark.parametrize("basis, peak, bound", [

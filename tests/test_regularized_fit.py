@@ -297,6 +297,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             fit(rule, 4, 0.0, bad)
 
+    @pytest.mark.parametrize("entry", [
+        lambda rule, L: fit(rule, L, 0.0, np.zeros(len(rule))),
+        lambda rule, L: lebesgue_constant(rule, L, 0.0),
+        gram_matrix_residual,
+    ], ids=["fit", "lebesgue_constant", "gram_matrix_residual"])
+    @pytest.mark.parametrize("degree", [2.0, True, -1, 9],
+                             ids=["float", "bool", "negative", "above-N"])
+    def test_one_degree_check(self, entry, degree):
+        # fit(rule, 2.0, ...) raised TypeError inside np.zeros,
+        # lebesgue_constant took True as L = 1 and 4.0 as L = 4
+        with pytest.raises(ValueError, match=r"degree L must be an integer in 0\.\.N = 0\.\.8, "
+                                             f"got {degree!r}$"):
+            entry(gauss_rule(LEG, 9), degree)
+
     def test_approximant_shape_check(self):
         with pytest.raises(ValueError):
             RegularizedApproximant(LEG, 3, 0.0, np.zeros(3))
