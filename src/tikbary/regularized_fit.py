@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycentric import _lebesgue_function, check_lambda
+from .barycentric import _kernel_lebesgue_function, _lebesgue_function, check_lambda
 from .basis import BasisSpec, _orthonormal_rows, eval_orthonormal
 from .quadrature import QuadratureRule, gauss_rule
 
@@ -38,13 +38,6 @@ __all__ = [
     "default_lebesgue_grid",
 ]
 
-
-# kernel-table entries per grid block of lebesgue_constant at L < N: 4 MiB
-# of doubles.  Smaller blocks pay the basis recurrence's per-block Python
-# overhead more often: at (L, N) = (200, 400) on the 12.8k-point bounds grid,
-# on a 2-core Xeon VM, 512 / 1024 / 2048 / 4096 rows took 104 / 87 / 75 /
-# 72 ms with traced peaks of 4.5 / 8.5 / 16.3 / 32.0 MiB, all to the same bits
-_KERNEL_BLOCK_ENTRIES = 524288
 
 # basis rows per GEMM of _blocked_values, and the doubles one of its row
 # blocks may hold, values and chunk together.  For one vector at L = 800 on
@@ -263,20 +256,14 @@ def _lebesgue_peak(spec: BasisSpec, L: int, nodes: bytes, weights: bytes,
                    grid: bytes) -> float:
     """Grid maximum of the lambda = 0 Lebesgue function of lebesgue_constant,
     from the bytes of the nodes, the weights and the grid.  At L = N it skips
-    the nodes, where the function is 1, its minimum."""
+    the nodes, where the function is 1, its minimum; at L < N it is the
+    maximum of barycentric._kernel_lebesgue_function."""
     rule = QuadratureRule(spec, np.frombuffer(nodes), np.frombuffer(weights))
     grid = np.frombuffer(grid)
     if L == rule.degree:
         off_node = np.setdiff1d(grid, rule.nodes)
         return float(np.max(_lebesgue_function(rule, off_node), initial=1.0))
-    node_vals = eval_orthonormal(spec, L, rule.nodes)  # (L+1, N+1)
-    step = max(1, _KERNEL_BLOCK_ENTRIES // len(rule))
-    peak = 0.0
-    for start in range(0, grid.size, step):
-        kernel = eval_orthonormal(spec, L, grid[start : start + step]).T @ node_vals
-        lebesgue_fn = np.abs(kernel, out=kernel) @ rule.weights
-        peak = max(peak, float(np.max(lebesgue_fn)))
-    return peak
+    return float(np.max(_kernel_lebesgue_function(rule, L, grid)))
 
 
 def lebesgue_constant(
@@ -293,9 +280,14 @@ def lebesgue_constant(
       |l(x)| sum_j |W_j|/|x - x_j| with the explicit Gauss-Jacobi weights
       (barycentric._lebesgue_function), O(G N) for G grid points.  No term
       cancels, and the maximum skips the nodes, where the function is 1.
-    - L < N: the kernel product, the G x (L+1) basis table times the
-      (L+1) x (N+1) table at the nodes, O(G L N), in grid blocks of about
-      _KERNEL_BLOCK_ENTRIES kernel entries.
+    - L < N: the Christoffel-Darboux form, a rank-2 numerator over the
+      same Cauchy table, O(G N) (barycentric._kernel_lebesgue_function).
+      Near a node or +-1, where its numerator would lose too much, a row
+      takes the kernel product sum_l p_l(x) p_l(x_j) instead, O(L N) a
+      row, one ddot an entry.  At (L, N) = (200, 400) on the 12.4k-point
+      bounds grid, 1224 rows take it, and the call traces 2.3 MiB where
+      the kernel product on every row, in GEMM blocks of 4 MiB, traced
+      10.7 MiB.
 
     The constant is the grid maximum divided by (1+lambda).  The maximum
     does not depend on lambda: an LRU cache of its own keeps the 16 most

@@ -4,9 +4,10 @@ None of these is on a path the package runs: the dense normal-equations
 solve cross-checks the closed-form fit, the degree-by-degree sum cross-checks
 the blocked GEMM values of evaluate, the Christoffel-Darboux kernel in
 direct and quotient form cross-checks the basis recurrence, the 50-digit
-quotient and first-kind forms cross-check the barycentric kernels, and the
+quotient and first-kind forms cross-check the barycentric kernels, the
 50-digit quadrature sums cross-check exactness_residual and, with samples,
-the coefficients of fit.
+the coefficients of fit, and the kernel product and its 50-digit sums
+cross-check the Lebesgue function of lebesgue_constant.
 """
 
 import decimal
@@ -130,6 +131,45 @@ def first_kind_oracle(nodes, weights, values, x, dps: int = 50) -> np.ndarray:
     return out
 
 
+def _recurrence_digits(spec, l_max: int):
+    """(a, root_b) of spec at the precision of the current decimal context:
+    the monic coefficients a_0..a_l_max and sqrt(b_0)..sqrt(b_{l_max+1}),
+    b_0 = V, as in Gautschi (2004), afresh from their closed forms, the mass
+    from mpmath's beta function at 10 more digits."""
+    D = decimal.Decimal
+    digits = decimal.getcontext().prec
+    al, be = D(float(spec.jacobi_a)), D(float(spec.jacobi_b))
+    with mpmath.workdps(digits + 10):
+        a_mp, b_mp = mpmath.mpf(spec.jacobi_a), mpmath.mpf(spec.jacobi_b)
+        mass = 2 ** (a_mp + b_mp + 1) * mpmath.beta(a_mp + 1, b_mp + 1)
+        mass = +D(mpmath.nstr(mass, digits + 10))
+    a = [(be - al) / (al + be + 2)]
+    root_b = [mass.sqrt(), (4 * (al + 1) * (be + 1)
+                            / ((al + be + 2) ** 2 * (al + be + 3))).sqrt()]
+    for k in range(1, l_max + 1):
+        s = 2 * k + al + be
+        a.append((be * be - al * al) / (s * (s + 2)))
+        t = s + 2  # 2(k+1) + al + be
+        root_b.append((4 * (k + 1) * (k + 1 + al) * (k + 1 + be) * (k + 1 + al + be)
+                       / (t * t * (t + 1) * (t - 1))).sqrt())
+    return a, root_b
+
+
+def _orthonormal_digits(spec, l_max: int, x):
+    """Yield p_0(x), ..., p_l_max(x) at the precision of the current decimal
+    context, over the float x taken as exact, as object arrays of Decimals.
+    decimal's C arithmetic runs the recurrence one degree at a time over all
+    of x at once."""
+    a, root_b = _recurrence_digits(spec, l_max)
+    x = np.array([decimal.Decimal(float(v)) for v in x], dtype=object)
+    p_prev = np.full(x.size, decimal.Decimal(0), dtype=object)
+    p = np.full(x.size, 1 / root_b[0], dtype=object)
+    for l in range(l_max + 1):
+        yield p
+        if l < l_max:
+            p_prev, p = p, ((x - a[l]) * p - root_b[l] * p_prev) / root_b[l + 1]
+
+
 def quadrature_sums_oracle(rule, l_max: int, digits: int = 50, samples=None):
     """(defects, scales) at digits significant digits, for l = 0..l_max.
 
@@ -140,42 +180,43 @@ def quadrature_sums_oracle(rule, l_max: int, digits: int = 50, samples=None):
     Given float samples f_j, also taken as exact, every w_j carries the
     factor f_j and nothing is subtracted: defects[l] is then the coefficient
     sum_j w_j p_l(x_j) f_j of a fit at lambda = 0, and scales[l] is
-    sum_j |w_j p_l(x_j) f_j|.  The
-    recurrence coefficients come afresh from their closed forms at that
-    precision, the mass from mpmath's beta function.  decimal's C arithmetic
-    runs the recurrence one degree at a time over object arrays of all the
-    nodes.  Both arrays are returned rounded to doubles.
+    sum_j |w_j p_l(x_j) f_j|.  The basis comes from _orthonormal_digits.
+    Both arrays are returned rounded to doubles.
     """
     D = decimal.Decimal
     with decimal.localcontext(decimal.Context(prec=digits)):
-        al, be = D(float(rule.spec.jacobi_a)), D(float(rule.spec.jacobi_b))
-        with mpmath.workdps(digits + 10):
-            a_mp, b_mp = mpmath.mpf(rule.spec.jacobi_a), mpmath.mpf(rule.spec.jacobi_b)
-            mass = 2 ** (a_mp + b_mp + 1) * mpmath.beta(a_mp + 1, b_mp + 1)
-            mass = +D(mpmath.nstr(mass, digits + 10))
-        # monic coefficients a_k and sqrt(b_k), b_0 = V, as in Gautschi (2004)
-        a = [(be - al) / (al + be + 2)]
-        root_b = [mass.sqrt(), (4 * (al + 1) * (be + 1)
-                                / ((al + be + 2) ** 2 * (al + be + 3))).sqrt()]
-        for k in range(1, l_max + 1):
-            s = 2 * k + al + be
-            a.append((be * be - al * al) / (s * (s + 2)))
-            t = s + 2  # 2(k+1) + al + be
-            root_b.append((4 * (k + 1) * (k + 1 + al) * (k + 1 + be) * (k + 1 + al + be)
-                           / (t * t * (t + 1) * (t - 1))).sqrt())
-        x = np.array([D(float(v)) for v in rule.nodes], dtype=object)
         w = np.array([D(float(v)) for v in rule.weights], dtype=object)
         if samples is not None:  # w_j f_j: 106 bits, exact at 50 digits
             w = w * np.array([D(float(v)) for v in samples], dtype=object)
-        p_prev = np.full(x.size, D(0), dtype=object)
-        p = np.full(x.size, 1 / root_b[0], dtype=object)
         defects, scales = [], []
-        for l in range(l_max + 1):
+        for p in _orthonormal_digits(rule.spec, l_max, rule.nodes):
             wp = w * p
             defects.append(wp.sum())
             scales.append(np.abs(wp).sum())
-            if l < l_max:
-                p_prev, p = p, ((x - a[l]) * p - root_b[l] * p_prev) / root_b[l + 1]
         if samples is None:
-            defects[0] -= mass.sqrt()
+            defects[0] -= _recurrence_digits(rule.spec, 0)[1][0]
     return np.array(defects, dtype=float), np.array(scales, dtype=float)
+
+
+def kernel_lebesgue_oracle(rule, L: int, x) -> np.ndarray:
+    """The Lebesgue function sum_j w_j |sum_{l<=L} p_l(x) p_l(x_j)| of the
+    degree-L fit at the 1-d x, by its definition: the kernel product of the
+    (L+1) x |x| basis table and the (L+1) x (N+1) table at the nodes, the
+    form lebesgue_constant took at L < N before the Christoffel-Darboux one."""
+    x = np.asarray(x, dtype=float)
+    kernel = eval_orthonormal(rule.spec, L, x).T @ eval_orthonormal(rule.spec, L, rule.nodes)
+    return np.abs(kernel) @ rule.weights
+
+
+def kernel_lebesgue_digits(rule, L: int, x, digits: int = 50) -> np.ndarray:
+    """kernel_lebesgue_oracle at digits significant digits, on the rule's
+    float nodes and weights and the float x taken as exact, rounded to
+    doubles."""
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        kernel = np.full((len(x), len(rule)), D(0), dtype=object)
+        for p_x, p_nodes in zip(_orthonormal_digits(rule.spec, L, x),
+                                _orthonormal_digits(rule.spec, L, rule.nodes)):
+            kernel += np.multiply.outer(p_x, p_nodes)
+        w = np.array([D(float(v)) for v in rule.weights], dtype=object)
+        return np.array((np.abs(kernel) * w).sum(axis=1), dtype=float)

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import normal_equations_oracle, per_column_values_oracle, quadrature_sums_oracle
+from oracles import (kernel_lebesgue_digits, kernel_lebesgue_oracle, normal_equations_oracle,
+                     per_column_values_oracle, quadrature_sums_oracle)
 from tikbary import barycentric, regularized_fit
 from tikbary.basis import BasisSpec, _orthonormal_rows, eval_orthonormal
 from tikbary.metrics import (LAMBDA_STAR, bound_check_l2_noise, bound_check_stability,
@@ -466,18 +467,6 @@ class TestLebesgueConstant:
         with pytest.raises(ValueError, match="0..N"):
             lebesgue_constant(gauss_rule(LEG, 7), L, 0.0)
 
-    def test_kernel_blocks_change_no_bit(self, monkeypatch):
-        # the bounds pair with L < N on its own grid; one row per block is
-        # left out, because BLAS may route a one-row product differently
-        rule = gauss_rule(CHEB, 401)
-        grid = np.union1d(default_uniform_grid(), rule.nodes)
-        default = lebesgue_constant(rule, 200, 0.0, grid=grid)
-        for rows in (64, 10**6):
-            monkeypatch.setattr(regularized_fit, "_KERNEL_BLOCK_ENTRIES", rows * 401)
-            regularized_fit._lebesgue_peak.cache_clear()
-            np.testing.assert_array_equal(
-                lebesgue_constant(rule, 200, 0.0, grid=grid), default)
-
 
 class TestLambdaFreeMemo:
     """lebesgue_constant caches its lambda = 0 result per input, and fit
@@ -776,13 +765,6 @@ class TestLambdaFreeValues:
         assert [value for out in got for value in out] == cold
 
 
-def _kernel_lebesgue(rule, L, grid):
-    """Grid maximum of sum_j w_j |K_L(x, x_j)| from the dense kernel product."""
-    node_vals = eval_orthonormal(rule.spec, L, rule.nodes)
-    kernel = eval_orthonormal(rule.spec, L, grid).T @ node_vals
-    return float(np.max(np.abs(kernel) @ rule.weights))
-
-
 def _lagrange_lebesgue_mp(nodes, x, dps=50):
     """sum_j |l_j(x)| at dps digits, on the given float nodes."""
     with mpmath.workdps(dps):
@@ -820,14 +802,14 @@ class TestLebesgueInterpolation:
         rule = gauss_rule(spec, N + 1)
         grid = default_lebesgue_grid(rule)
         got = lebesgue_constant(rule, N, 0.0, grid=grid)
-        assert got == pytest.approx(_kernel_lebesgue(rule, N, grid), rel=1e-11)
+        assert got == pytest.approx(np.max(kernel_lebesgue_oracle(rule, N, grid)), rel=1e-11)
 
     def test_matches_kernel_product_past_direct_products(self):
         # 601 nodes: the node polynomial is carried in log space
         rule = gauss_rule(LEG, 601)
         grid = np.linspace(-1.0, 1.0, 1001)
         got = lebesgue_constant(rule, 600, 0.0, grid=grid)
-        assert got == pytest.approx(_kernel_lebesgue(rule, 600, grid), rel=1e-11)
+        assert got == pytest.approx(np.max(kernel_lebesgue_oracle(rule, 600, grid)), rel=1e-11)
 
     @pytest.mark.parametrize("spec", [CHEB, LEG, BasisSpec(20.0, -0.9)],
                              ids=["chebyshev1", "legendre", "jacobi(20,-0.9)"])
@@ -892,3 +874,86 @@ class TestLebesgueInterpolation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _near_nodes(rule, rng):
+    """+-1, 12 of the rule's nodes, the points 1 ulp, 1e-15, 1e-9 and 1e-6
+    to either side of each, and 12 uniform points, sorted, in [-1, 1]."""
+    picked = rule.nodes[rng.integers(0, len(rule), 12)]
+    x = [[-1.0, 1.0], picked, np.nextafter(picked, 2.0), np.nextafter(picked, -2.0),
+         rng.uniform(-1.0, 1.0, 12)]
+    x += [picked + side * gap for gap in (1e-15, 1e-9, 1e-6) for side in (-1.0, 1.0)]
+    return np.unique(np.clip(np.concatenate(x), -1.0, 1.0))
+
+
+class TestLebesgueKernel:
+    """L < N: the Christoffel-Darboux Lebesgue function, and the kernel
+    product where it would cancel."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["chebyshev1", "legendre", "jacobi"]),
+           a=st.floats(-0.9, 2.0, exclude_min=True),
+           b=st.floats(-0.9, 2.0, exclude_min=True),
+           n=st.integers(1, 300), share=st.floats(0.0, 1.0, exclude_max=True),
+           seed=_SEEDS)
+    def test_matches_kernel_product(self, kind, a, b, n, share, seed):
+        # within 16 (L + 2) eps of the definition at every point; 600 random
+        # rules on such points gave at most 5.3 (L + 2) eps.  The rounding
+        # of the kernel product itself is about (L + 1) eps of the value
+        spec = BasisSpec(a, b) if kind == "jacobi" else BasisSpec.from_name(kind)
+        rule = gauss_rule(spec, n + 1)
+        L = int(share * n)
+        x = _near_nodes(rule, _rng(seed))
+        want = kernel_lebesgue_oracle(rule, L, x)
+        got = barycentric._kernel_lebesgue_function(rule, L, x)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - want) <= 16 * (L + 2) * eps * want)
+
+    @pytest.mark.parametrize("spec,L,N", [
+        (CHEB, 20, 40), (BasisSpec(20.0, -0.9), 10, 40), (CHEB, 200, 400),
+    ], ids=["chebyshev1-20-40", "jacobi(20,-0.9)-10-40", "chebyshev1-200-400"])
+    def test_no_farther_from_50_digits_than_the_kernel_product(self, spec, L, N):
+        # at +-1, at the maximum on the grid of the bound checks, and midway
+        # between the two middle nodes.  +-1 and the maximum take the kernel
+        # product, a ddot an entry, and so does every row of jacobi(20, -0.9)
+        # at L = 10; the Chebyshev midpoints take the Christoffel-Darboux
+        # form.  Both carry the error of the recurrence at the nodes, up to
+        # 195 eps at jacobi(20, -0.9), and differ by at most 2 ulp around it
+        rule = gauss_rule(spec, N + 1)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        peak = grid[np.argmax(barycentric._kernel_lebesgue_function(rule, L, grid))]
+        x = np.array([-1.0, 1.0, peak, rule.nodes[N // 2:N // 2 + 2].mean()])
+        got = barycentric._kernel_lebesgue_function(rule, L, x)
+        want = kernel_lebesgue_digits(rule, L, x)
+        kernel = kernel_lebesgue_oracle(rule, L, x)
+        assert np.all(np.abs(got - want) <= np.abs(kernel - want) + 2 * np.spacing(want))
+        assert got[2] == lebesgue_constant(rule, L, 0.0, grid=grid)
+
+    def test_blocks_and_workers_change_no_bit(self, monkeypatch):
+        # the bounds pair with L < N on its own grid: blocks of 64 rows, one
+        # block for the whole grid, and one worker
+        rule = gauss_rule(CHEB, 401)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        default = barycentric._kernel_lebesgue_function(rule, 200, grid)
+        peak = lebesgue_constant(rule, 200, 0.0, grid=grid)
+        for name, value in (("_BLOCK_ENTRIES", 64 * 401), ("_BLOCK_ENTRIES", 10**6),
+                            ("_WORKERS", 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(barycentric, name, value)
+                regularized_fit._lebesgue_peak.cache_clear()
+                np.testing.assert_array_equal(
+                    barycentric._kernel_lebesgue_function(rule, 200, grid), default)
+                assert lebesgue_constant(rule, 200, 0.0, grid=grid).hex() == peak.hex()
+
+    def test_work_tables_stay_small(self):
+        # the bounds pair with L < N on its own grid; the kernel product in
+        # blocks of 2^19 entries traced 10.7 MiB
+        rule = gauss_rule(CHEB, 401)
+        grid = np.union1d(default_uniform_grid(), rule.nodes)
+        tracemalloc.start()
+        try:
+            lebesgue_constant(rule, 200, 0.0, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
