@@ -34,6 +34,9 @@ on one machine are bitwise equal.
 
 One rule gives every sign: the nodes are finite and strictly increasing,
 as BarycentricData checks, so sign l(x) = (-1)^(number of nodes above x).
+The package takes the quotient form's weights only from _quotient_weights,
+which refuses rules where that form is unstable, and the first kind sets
+its own power-of-two frame (_frame_exponent).
 """
 
 import math
@@ -55,7 +58,8 @@ __all__ = [
     "interp_barycentric",
 ]
 
-# beyond this many nodes raw products of ~N factors risk leaving double range
+# beyond this many nodes that span about 2 (a rule's on [-1, 1], or any in
+# the frame of _frame_exponent) raw products of ~N factors risk leaving double range
 _DIRECT_PRODUCT_LIMIT = 513
 
 # entries per (points x nodes) work table, one table per worker: 448 KiB of
@@ -86,26 +90,39 @@ def _cpus() -> int:
 _WORKERS = min(2, _cpus())
 
 
+def _frame_exponent(nodes: np.ndarray) -> int:
+    """k such that nodes / 2^k span [sqrt 2, 2 sqrt 2): 0 for every shipped
+    config's rules.  Exact, so nodes times 2^j give k + j."""
+    return math.frexp(float(np.ptp(nodes)) / math.sqrt(2.0))[1] - 1
+
+
 def weights_product(nodes) -> np.ndarray:
     """Barycentric weights 1/prod_{k != j}(x_j - x_k) from the definition.
 
-    Up to 513 nodes the products are formed directly and returned at their
-    natural scale.  Past that the magnitudes can overflow doubles, so the
-    products are accumulated as log-magnitude plus sign and the result is
-    rescaled to max |W_j| = 1.
+    Formed in the frame of _frame_exponent.  Up to 513 nodes the products
+    are formed directly and returned at their natural scale where that is
+    a normal double, else rescaled to max |W_j| = 1.  Past that the
+    magnitudes can overflow doubles, so the products are accumulated as
+    log-magnitude plus sign and the result is rescaled to max |W_j| = 1.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
         raise ValueError("need at least two nodes")
     if not np.all(np.isfinite(nodes)):
         raise ValueError("nodes must be finite")
-    diffs = nodes[:, None] - nodes[None, :]
+    k = _frame_exponent(nodes)
+    framed = np.ldexp(nodes, -k)
+    diffs = framed[:, None] - framed[None, :]
     off = ~np.eye(nodes.size, dtype=bool)
     if np.any(diffs[off] == 0.0):
         raise ValueError("nodes must be pairwise distinct")
     if nodes.size <= _DIRECT_PRODUCT_LIMIT:
-        prod = np.prod(np.where(off, diffs, 1.0), axis=1)
-        return 1.0 / prod
+        weights = 1.0 / np.prod(np.where(off, diffs, 1.0), axis=1)
+        shift = -k * (nodes.size - 1)  # the natural weights are these times 2^shift
+        exponents = np.frexp(weights)[1] + shift
+        if np.all((exponents > -1022) & (exponents <= 1024)):  # normal doubles, exact
+            return np.ldexp(weights, shift)
+        return weights / np.max(np.abs(weights))
     signs = np.where(np.sum(diffs < 0.0, axis=1) % 2 == 0, 1.0, -1.0)
     logs = -np.sum(np.log(np.abs(np.where(off, diffs, 1.0))), axis=1)
     return signs * np.exp(logs - np.max(logs))
@@ -226,7 +243,8 @@ def _hit_radius(rows: np.ndarray, log_c: float | None = None) -> float:
     """How near a node a point must lie to count as it: 2^-1000 times the
     largest of 1, max |rows| and, for a direct-product node polynomial,
     exp(log_c).  Further off, every Cauchy entry, every term rows_j c_j and
-    prod_j |c_j| = 1/|l(x)| stay under about 2^1000, 2^24 short of overflow."""
+    prod_j |c_j| = 1/|l(x)| stay under about 2^1000, 2^24 short of overflow,
+    for nodes that span about 2, as in _frame_exponent's frame."""
     scale = np.max(np.abs(rows), initial=1.0)
     if log_c is not None and rows.shape[-1] <= _DIRECT_PRODUCT_LIMIT:
         scale = max(scale, np.exp(log_c))
@@ -331,7 +349,8 @@ def _node_polynomial(cauchy: np.ndarray, log_c: float) -> np.ndarray:
     _DIRECT_PRODUCT_LIMIT nodes it is exp(log_c)/|prod_j c_j|; past that
     exp(log_c - sum_j log|c_j|), so that neither the product nor the scale
     anchor leaves double range on its own; that path overwrites the rows
-    with log|c_j|, so callers reduce them first.  Callers sign it by
+    with log|c_j|, so callers reduce them first; both for nodes that span
+    about 2, as in _frame_exponent's frame.  Callers sign it by
     (-1)^(number of nodes above x), exact for finite, strictly increasing nodes.
     """
     if cauchy.shape[1] <= _DIRECT_PRODUCT_LIMIT:
@@ -345,31 +364,36 @@ def interp_modified_lagrange(data: BarycentricData, x):
 
     Off [-1, 1] this is the form to use: it is backward stable at any x
     (Higham 2004), the quotient form only on the interval.  x must be
-    finite.  A point within _hit_radius of a node takes f_j; other points
-    go through the classical formula.  Each row block is one vecdot of the
-    Cauchy rows against the rows W * f_c, times the signed node polynomial
-    of the same rows, whose scale anchor carries the weights to the
-    product-formula scale.  Values of shape (N+1, k) give x.shape + (k,),
-    column c bitwise the result for values[:, c] alone.
+    finite.  It runs on (x / 2^k, nodes / 2^k), the exact frame of
+    _frame_exponent, so nodes and x times a power of two give the same
+    bits; x is copied only if k != 0.  A point within _hit_radius of a node
+    takes f_j; other points go through the classical formula.  Each row
+    block is one vecdot of the Cauchy rows against the rows W * f_c, times
+    the signed node polynomial of the same rows, whose scale anchor carries
+    the weights to the product-formula scale.  Values of shape (N+1, k)
+    give x.shape + (k,), column c bitwise the result for values[:, c] alone.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    xv = x.ravel()
+    nodes, xv = data.nodes, x.ravel()
+    k = _frame_exponent(nodes)
+    if k:
+        nodes, xv = np.ldexp(nodes, -k), np.ldexp(xv, -k)
     values = data.values.reshape(len(data), -1)
     weighted = np.empty((values.shape[1], len(data)))  # the rows W * f_c
     np.multiply(values.T, data.weights, out=weighted)
-    log_c, sign_c = _product_scale_anchor(data.nodes, data.weights)
-    hit_rows, hit_cols = _node_hits(data.nodes, xv, _hit_radius(weighted, log_c))
+    log_c, sign_c = _product_scale_anchor(nodes, data.weights)
+    hit_rows, hit_cols = _node_hits(nodes, xv, _hit_radius(weighted, log_c))
     out = np.empty((xv.size, values.shape[1]))
 
     def body(rows, cauchy):
         out[rows] = np.vecdot(cauchy[:, None, :], weighted)
-        above = len(data) - np.searchsorted(data.nodes, xv[rows])
+        above = len(data) - np.searchsorted(nodes, xv[rows])
         scale = np.where(above % 2, -sign_c, sign_c) * _node_polynomial(cauchy, log_c)
         out[rows] *= scale[:, None]
 
-    _each_block(data.nodes, xv, hit_rows, body)
+    _each_block(nodes, xv, hit_rows, body)
     out[hit_rows] = values[hit_cols]
     out /= 1.0 + data.lam
     out = out.reshape(x.shape + data.values.shape[1:])
@@ -553,14 +577,15 @@ def _kernel_lebesgue_function(rule: QuadratureRule, L: int, x: np.ndarray) -> np
 _QUOTIENT_FORM_LIMIT = 1e-9
 
 
-def _check_quotient_form(rule: QuadratureRule) -> QuadratureRule:
-    """The rule, if the quotient form is stable in its nodes: ValueError
-    where N Lambda(+-1) eps exceeds _QUOTIENT_FORM_LIMIT."""
-    peak = float(np.max(_lebesgue_function(rule, np.array([-1.0, 1.0]))))
-    bound = rule.degree * peak * np.finfo(float).eps
-    if bound > _QUOTIENT_FORM_LIMIT:
-        raise ValueError(f"the quotient form is unstable in {len(rule)} {rule.spec.name} "
-                         f"points (N = {rule.degree}): Lebesgue function {peak:.3g} "
-                         f"at x = +-1, N Lambda eps = {bound:.3g}, over "
-                         f"{_QUOTIENT_FORM_LIMIT:.3g}")
-    return rule
+def _quotient_weights(rules) -> list:
+    """_weights_gauss_rules(rules) for the quotient form, or ValueError at
+    the first rule where it is unstable, N Lambda(+-1) eps over _QUOTIENT_FORM_LIMIT."""
+    for rule in rules:
+        peak = float(np.max(_lebesgue_function(rule, np.array([-1.0, 1.0]))))
+        bound = rule.degree * peak * np.finfo(float).eps
+        if bound > _QUOTIENT_FORM_LIMIT:
+            raise ValueError(f"the quotient form is unstable in {len(rule)} {rule.spec.name} "
+                             f"points (N = {rule.degree}): Lebesgue function {peak:.3g} "
+                             f"at x = +-1, N Lambda eps = {bound:.3g}, over "
+                             f"{_QUOTIENT_FORM_LIMIT:.3g}")
+    return _weights_gauss_rules(rules)

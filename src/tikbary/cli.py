@@ -24,8 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .barycentric import (BarycentricData, _check_quotient_form, interp_barycentric,
-                          weights_gauss)
+from .barycentric import BarycentricData, _quotient_weights, interp_barycentric
 from .basis import BasisSpec
 from .configfile import read_config
 from .csvio import read_table, render_table
@@ -124,10 +123,11 @@ def _cmd_interp(args) -> int:
         raise ValueError(f"--eval-points must be >= 1, got {args.eval_points}")
     if args.N < 1:  # interpolation needs two nodes
         raise ValueError(f"--N must be >= 1, got {args.N}")
-    rule = _check_quotient_form(gauss_rule(BasisSpec.from_name(args.basis), args.N + 1))
+    rule = gauss_rule(BasisSpec.from_name(args.basis), args.N + 1)
+    [weights] = _quotient_weights([rule])
     lam = _single_lambda(args)
     values = _samples_for_rule(args, rule)
-    data = BarycentricData(rule.nodes, weights_gauss(rule), values, lam)
+    data = BarycentricData(rule.nodes, weights, values, lam)
     grid = np.linspace(-1.0, 1.0, args.eval_points)
     rows = np.column_stack([grid, interp_barycentric(data, grid)]).tolist()
     return _write_table(args, "interpolant", ("x", "value"), rows,

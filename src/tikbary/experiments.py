@@ -20,11 +20,9 @@ import numpy as np
 from ._version import __version__
 from .barycentric import (
     BarycentricData,
-    _check_quotient_form,
-    _weights_gauss_rules,
+    _quotient_weights,
     check_lambda,
     interp_barycentric,
-    weights_gauss,
 )
 from .basis import BasisSpec
 from .configfile import parse_config_text, render_value
@@ -353,9 +351,9 @@ def run_fig3(config: ExperimentConfig) -> list:
     grid = _grid(config)
     f_grid = np.asarray(f(grid), dtype=float)
     reports = []
-    rules = [_check_quotient_form(gauss_rule(spec, N + 1)) for N in config.n_values]
-    # every rule's weights from one recurrence sweep
-    weights = _weights_gauss_rules(rules)
+    rules = [gauss_rule(spec, N + 1) for N in config.n_values]
+    # every rule checked, then every rule's weights from one recurrence sweep
+    weights = _quotient_weights(rules)
     for i, (N, rule) in enumerate(zip(config.n_values, rules)):
         clean = np.asarray(f(rule.nodes), dtype=float)
         noise = _noise_from_config(config, i)
@@ -394,7 +392,8 @@ def run_fig45(config: ExperimentConfig) -> list:
                          f"got {list(config.lambdas)}")
     spec = BasisSpec.from_name(config.basis)
     f = FUNCTIONS[config.fn]
-    rule = _check_quotient_form(gauss_rule(spec, N + 1))
+    rule = gauss_rule(spec, N + 1)
+    [weights] = _quotient_weights([rule])
     clean = np.asarray(f(rule.nodes), dtype=float)
     lam_t = config.lambdas[-1]
     grid = _grid(config)
@@ -414,8 +413,7 @@ def run_fig45(config: ExperimentConfig) -> list:
                      f"title = sampled data, {config.fn}"])
 
     # every variant in one grid pass at lambda = 0, shrunk by a scalar after
-    stacked = BarycentricData(rule.nodes, weights_gauss(rule),
-                              np.column_stack([v for _, v in variants]))
+    stacked = BarycentricData(rule.nodes, weights, np.column_stack([v for _, v in variants]))
     p_all = interp_barycentric(stacked, grid)
     curve_cols, curve_series = ["x", "target"], [f_grid]
     err_cols, err_series = ["x"], []

@@ -354,8 +354,6 @@ class TestRunners:
         sweeps = []
         monkeypatch.setattr(barycentric, "_weights_gauss_rules",
                             lambda rules: sweeps.append(rules))
-        monkeypatch.setattr(experiments, "_weights_gauss_rules",
-                            lambda rules: sweeps.append(rules))
         cfg = _tiny(experiment, tmp_path, basis="jacobi(5,0)", l_values=n_values,
                     n_values=n_values)
         with pytest.raises(ValueError, match=r"the quotient form is unstable in 61 "
