@@ -7,7 +7,7 @@ experiment families:
     tikbary fit --basis legendre --L 8 --N 16 --lambda 0 --fn f1
     tikbary interp --basis chebyshev1 --N 60 --lambda 0.1995 --fn f1
     tikbary sweep --basis chebyshev1 --L 100 --N 100 --fn f1 --seed 7
-    tikbary run --config configs/fig1-desk.cfg
+    tikbary run --config src/tikbary/configs/fig1-desk.cfg
     tikbary run --experiment fig3 --scale paper --out results
 
 Commands that take data accept --fn NAME or --data FILE, the file being CSV

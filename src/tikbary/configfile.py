@@ -9,16 +9,14 @@ One assignment per line, '#' starts a comment, values are typed by shape:
     noise_kind = none
 
 Ints, floats, booleans (true/false), none, bare strings, and bracketed
-comma-separated arrays of those.  Floats are written back with repr, so a
-mapping survives a write/parse round trip exactly.
+comma-separated arrays of those.  render_value writes floats with repr, so
+each value survives a render/parse round trip exactly.
 """
 
 __all__ = [
     "parse_config_text",
-    "render_config_text",
     "render_value",
     "read_config",
-    "write_config",
 ]
 
 
@@ -91,16 +89,6 @@ def render_value(value) -> str:
     return _render_scalar(value)
 
 
-def render_config_text(mapping: dict) -> str:
-    lines = [f"{key} = {render_value(value)}" for key, value in mapping.items()]
-    return "\n".join(lines) + "\n"
-
-
 def read_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def write_config(path, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_config_text(mapping))

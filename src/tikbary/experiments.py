@@ -12,7 +12,8 @@ degree of the fitted polynomial; fitting requires L <= N.
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
+from importlib.resources import files
 from itertools import groupby
 
 import numpy as np
@@ -34,7 +35,6 @@ from .metrics import (
     _max_errors,
     _reports,
     default_l2_rule,
-    default_lambda_grid,
     default_uniform_grid,
     lambda_sweep,
 )
@@ -55,8 +55,6 @@ __all__ = [
     "run_sweep",
     "run_custom",
 ]
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep", "custom")
 
 _NOISE_KINDS = (None, "additive-white-snr", "multiplicative-uniform")
 
@@ -189,46 +187,23 @@ class ExperimentConfig:
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
+def _shipped_config(experiment: str, scale: str, out_dir: str) -> ExperimentConfig:
+    """configs/<experiment>-<scale>.cfg from the package, writing to out_dir."""
+    if experiment not in EXPERIMENTS or experiment == "custom":
+        raise ValueError(f"no {scale} configuration for {experiment!r}")
+    text = (files(__package__) / "configs" / f"{experiment}-{scale}.cfg").read_text(
+        encoding="utf-8")
+    return ExperimentConfig.from_mapping({**parse_config_text(text), "out_dir": out_dir})
+
+
 def paper_config(experiment: str, out_dir: str = "results") -> ExperimentConfig:
     """Full-scale runs matching the published figures (minutes, not seconds)."""
-    base = dict(experiment=experiment, out_dir=out_dir)
-    if experiment == "fig1":
-        return ExperimentConfig(**base, n_values=(500,),
-                                l_values=tuple(range(10, 501, 10)))
-    if experiment == "fig2":
-        return ExperimentConfig(**base, l_values=(500,),
-                                n_values=tuple(range(500, 2001, 100)))
-    if experiment == "fig3":
-        n = tuple(range(20, 1001, 20))
-        return ExperimentConfig(**base, fn="f3", l_values=n, n_values=n)
-    if experiment in ("fig4", "fig5"):
-        fn = "f1" if experiment == "fig4" else "f1-plus-sin10x"
-        return ExperimentConfig(**base, fn=fn, l_values=(60,), n_values=(60,),
-                                noise_kind="multiplicative-uniform")
-    if experiment == "sweep":
-        return ExperimentConfig(**base, l_values=(500,), n_values=(500,),
-                                lambdas=tuple(default_lambda_grid()))
-    raise ValueError(f"no paper configuration for {experiment!r}")
+    return _shipped_config(experiment, "paper", out_dir)
 
 
 def desk_config(experiment: str, out_dir: str = "results-desk") -> ExperimentConfig:
     """Reduced runs with the same schema, for quick checks and CI."""
-    cfg = paper_config(experiment, out_dir=out_dir)
-    small = dict(grid_equispaced=2001, grid_chebyshev=501)
-    if experiment == "fig1":
-        return replace(cfg, n_values=(200,), l_values=tuple(range(10, 201, 10)),
-                       **small)
-    if experiment == "fig2":
-        return replace(cfg, l_values=(100,), n_values=tuple(range(100, 401, 20)),
-                       **small)
-    if experiment == "fig3":
-        n = tuple(range(20, 201, 20))
-        return replace(cfg, l_values=n, n_values=n, **small)
-    if experiment in ("fig4", "fig5"):
-        return replace(cfg, **small)
-    if experiment == "sweep":
-        return replace(cfg, l_values=(100,), n_values=(100,), **small)
-    raise ValueError(f"no desk configuration for {experiment!r}")
+    return _shipped_config(experiment, "desk", out_dir)
 
 
 def _grid(config: ExperimentConfig) -> np.ndarray:
@@ -471,6 +446,8 @@ _RUNNERS = {
     "sweep": run_sweep,
     "custom": run_custom,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig) -> list:

@@ -458,15 +458,26 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--L" in err and "--N" in err
 
-    def test_import_leaves_mpmath_and_scipy_special_out(self):
+    def test_import_leaves_mpmath_and_scipy_special_out(self, tmp_path):
         # mpmath is a test-only dependency, and scipy.special loads on the
-        # first Airy call; either at import would slow every run's start-up
-        probe = ("import sys, tikbary.cli; "
-                 "print(any(m in sys.modules for m in ('mpmath', 'scipy.special')))")
-        done = subprocess.run([sys.executable, "-c", probe], check=True,
-                              capture_output=True, text=True,
+        # first Airy call; either at import would slow every run's start-up.
+        # Desk fig3 and fig4 evaluate f3 and f1 alone, so no Airy call
+        # loads it on their way either
+        probe = ("import contextlib, os, sys, tikbary.cli\n"
+                 "def loaded():\n"
+                 "    print(any(m in sys.modules for m in ('mpmath', 'scipy.special')))\n"
+                 "loaded()\n"
+                 "for e in ('fig3', 'fig4'):\n"
+                 "    with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+                 "        code = tikbary.cli.main(['run', '--experiment', e, '--scale', 'desk',\n"
+                 "                                 '--out', os.path.join(sys.argv[1], e)])\n"
+                 "    print(code)\n"
+                 "    loaded()\n")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", probe, str(tmp_path)],
+                              check=True, capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": _SRC})
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "0", "False", "0", "False"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3", "fig4"]
 
     def test_fig3_needs_equal_degrees(self, capsys, tmp_path):
         code, out, err = _run(capsys, "run", "--experiment", "fig3", "--L", "5",
@@ -500,7 +511,7 @@ class TestRun:
         assert table.column("L") == ["16", "16"]
 
     def test_config_file_round_trip(self, capsys, tmp_path):
-        from tikbary.configfile import write_config
+        from tikbary.configfile import render_value
         from tikbary.experiments import ExperimentConfig
 
         cfg = ExperimentConfig(
@@ -508,7 +519,9 @@ class TestRun:
             n_values=(16,), lambdas=(0.0, 0.5), noise_kind=None,
             grid_equispaced=101, grid_chebyshev=51)
         path = tmp_path / "run.cfg"
-        write_config(path, cfg.to_mapping())
+        path.write_text("".join(f"{key} = {render_value(value)}\n"
+                                for key, value in cfg.to_mapping().items()),
+                        encoding="utf-8")
         code, out, _ = _run(capsys, "run", "--config", str(path))
         assert code == 0
         table = read_table(tmp_path / "out" / "custom.csv")

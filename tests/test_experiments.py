@@ -12,7 +12,7 @@ from tikbary.barycentric import (
     weights_gauss,
 )
 from tikbary.basis import BasisSpec
-from tikbary.configfile import parse_config_text, read_config
+from tikbary.configfile import parse_config_text, read_config, render_value
 from tikbary.csvio import format_value, read_table
 from tikbary import barycentric, experiments, metrics, regularized_fit
 from tikbary.experiments import (
@@ -34,7 +34,14 @@ from tikbary.regularized_fit import evaluate, fit
 from tikbary.signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
 
 
-_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_CONFIGS = Path(experiments.__file__).parent / "configs"
+_FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep")
+
+
+def _config_text(cfg: ExperimentConfig) -> str:
+    """cfg as config-file text, one render_value line per key."""
+    return "".join(f"{key} = {render_value(value)}\n"
+                   for key, value in cfg.to_mapping().items())
 
 
 def _tiny(experiment, tmp_path, **overrides):
@@ -124,9 +131,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("path", ["results/fig 3", "a=b", "C:\\runs", "r-1.5]"])
     def test_out_dir_round_trips_through_config_text(self, path):
-        from tikbary.configfile import render_config_text
         cfg = ExperimentConfig("custom", l_values=(4,), n_values=(8,), out_dir=path)
-        text = render_config_text(cfg.to_mapping())
+        text = _config_text(cfg)
         assert ExperimentConfig.from_mapping(parse_config_text(text)) == cfg
 
     @pytest.mark.parametrize("line", ["lambdas = 0.1", "l_values = 5", "n_values = 8"])
@@ -179,19 +185,17 @@ class TestConfigMapping:
         assert cfg.to_mapping()["noise_kind"] == "none"
 
     def test_round_trip_through_config_text(self):
-        from tikbary.configfile import render_config_text
         cfg = desk_config("fig1")
-        text = render_config_text(cfg.to_mapping())
+        text = _config_text(cfg)
         assert ExperimentConfig.from_mapping(parse_config_text(text)) == cfg
 
     def test_jacobi_basis_round_trips_through_config_text(self):
-        from tikbary.configfile import render_config_text
         text = ("experiment = custom\nbasis = jacobi(0.3,-0.25)\n"
                 "l_values = [4]\nn_values = [8]\n")
         cfg = ExperimentConfig.from_mapping(parse_config_text(text))
         assert cfg.basis == "jacobi(0.3,-0.25)"
         assert BasisSpec.from_name(cfg.basis) == BasisSpec(0.3, -0.25)
-        again = render_config_text(cfg.to_mapping())
+        again = _config_text(cfg)
         assert "basis = jacobi(0.3,-0.25)\n" in again
         assert ExperimentConfig.from_mapping(parse_config_text(again)) == cfg
 
@@ -251,22 +255,29 @@ class TestFactories:
         assert desk_config("fig1").out_dir == "results-desk"
 
     def test_custom_has_no_factory(self):
-        with pytest.raises(ValueError):
-            paper_config("custom")
+        # custom, or any name with no shipped file, is refused before a file
+        # is opened, which would raise FileNotFoundError
+        for factory, scale in ((paper_config, "paper"), (desk_config, "desk")):
+            for name in ("custom", "fig9", "fig1-desk", "../fig1"):
+                with pytest.raises(ValueError, match=f"^no {scale} configuration for "):
+                    factory(name)
 
     @pytest.mark.parametrize("scale", ["desk", "paper"])
-    @pytest.mark.parametrize("experiment",
-                             ["fig1", "fig2", "fig3", "fig4", "fig5", "sweep"])
-    def test_shipped_configs_are_the_factories(self, experiment, scale):
+    @pytest.mark.parametrize("experiment", _FIGURES)
+    def test_shipped_configs_are_the_factories(self, experiment, scale, tmp_path):
+        # the factory is the shipped file of its experiment and scale, with
+        # out_dir the one setting it makes: `run --config` on the file and
+        # `run --experiment --scale` run the same config
         path = _CONFIGS / f"{experiment}-{scale}.cfg"
         shipped = ExperimentConfig.from_mapping(read_config(path))
         factory = paper_config if scale == "paper" else desk_config
-        assert shipped == replace(factory(experiment), out_dir=shipped.out_dir)
+        assert factory(experiment, str(tmp_path)) == replace(shipped, out_dir=str(tmp_path))
 
     def test_every_shipped_config_has_a_factory(self):
+        # each figure experiment ships both scales, and custom ships none
         assert sorted(p.name for p in _CONFIGS.iterdir()) == sorted(
-            f"{e}-{scale}.cfg" for e in ("fig1", "fig2", "fig3", "fig4", "fig5", "sweep")
-            for scale in ("desk", "paper"))
+            f"{e}-{scale}.cfg" for e in _FIGURES for scale in ("desk", "paper"))
+        assert set(EXPERIMENTS) - set(_FIGURES) == {"custom"}
 
 
 class TestRunners:

@@ -13,6 +13,8 @@ import numpy as np
 import numpy.polynomial.legendre as npleg
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tikbary.basis import (BasisSpec, _orthonormal_rows, eval_orthonormal,
                            recurrence_coefficients)
@@ -22,6 +24,7 @@ from tikbary.quadrature import (
     exactness_residual,
     gauss_rule,
 )
+from tikbary.regularized_fit import gram_matrix_residual
 
 from oracles import quadrature_sums_oracle
 
@@ -209,6 +212,42 @@ class TestExactnessOracle:
             worst = np.max(np.abs(defects[: l + 1]))
             assert abs(exactness_residual(rule, l) - worst) \
                 <= c * eps * np.max(scales[: l + 1]), l
+
+
+class TestIdentitiesOverJacobiExponents:
+    """Exactness through degree 2N+1 and the Gram identity A'WA = I at L = N,
+    for Jacobi exponents a, b in (-0.9, 2] and up to 300 points, each within
+    c n eps of its conditioning: max_l sum_j w_j |p_l(x_j)| over l <= 2N+1
+    for the exactness sums, and max_l sum_j w_j p_l(x_j)^2 over l <= N for
+    the Gram entries, which bounds sum_j w_j |p_l(x_j) p_m(x_j)|.
+
+    Over 1500 random draws biased to exponents near -0.9 and n near 300,
+    the largest ratio of a residual to n eps times its conditioning was 23
+    for the Gram identity and 32 for exactness, both with one exponent near
+    -0.9: there the end weight is near 2, on a node within 3e-6 of the end.
+    On benign exponents the ratios stay near 1 or under.  c = 128 leaves a
+    factor of four.  The two corners fail a fixed 1e-12: the Gram residual
+    of jacobi(-0.9, -0.9) at n = 300 is 1.05e-12 (ratio 16), and the
+    exactness residual of jacobi(20, -0.9) at n = 300 is 1.05e-10 on a
+    conditioning of 2.8e3 (ratio 0.56).
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(-0.9, 2.0, exclude_min=True),
+           b=st.floats(-0.9, 2.0, exclude_min=True), n=st.integers(1, 300))
+    @example(a=-0.9, b=-0.9, n=300)
+    @example(a=20.0, b=-0.9, n=300)
+    def test_within_n_eps_of_the_conditioning(self, a, b, n):
+        rule = gauss_rule(BasisSpec(a, b), n)
+        N = rule.degree
+        first = second = 0.0
+        for l, p in enumerate(_orthonormal_rows(rule.spec, 2 * N + 1, rule.nodes)):
+            first = max(first, np.abs(p) @ rule.weights)
+            if l <= N:
+                second = max(second, (p * p) @ rule.weights)
+        bound = 128.0 * n * np.finfo(float).eps
+        assert exactness_residual(rule, 2 * N + 1) <= bound * first
+        assert gram_matrix_residual(rule, N) <= bound * second
 
 
 class TestRuleStructure:
