@@ -39,7 +39,7 @@ from .metrics import (
     lambda_sweep,
 )
 from .quadrature import gauss_rule
-from .signals import FUNCTIONS, NoiseSpec, add_noise, derive_seed
+from .signals import FUNCTIONS, NOISE_KINDS, NoiseSpec, add_noise, derive_seed
 from .svgplot import render_csv_text
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "run_custom",
 ]
 
-_NOISE_KINDS = (None, "additive-white-snr", "multiplicative-uniform")
+_NOISE_KINDS = (None, *NOISE_KINDS)
 
 
 def _whole(key: str, value) -> int:

@@ -227,7 +227,13 @@ def evaluate(approx: RegularizedApproximant, x):
 
 
 def gram_matrix_residual(rule: QuadratureRule, L: int) -> float:
-    """Max-norm of A'WA - I, the discrete orthonormality defect."""
+    """Max-norm of A'WA - I, the discrete orthonormality defect.
+
+    A diagnostic, written to no output file: A'WA is one BLAS product, and
+    its last bits depend on OpenBLAS's thread count.  At 101 Legendre points
+    and L = 100 it reads 0x1.55b546a9389f5p-47 on two threads and
+    0x1.552546a9389f5p-47 under OPENBLAS_NUM_THREADS=1.
+    """
     _check_degree(L, rule.degree)
     A = eval_orthonormal(rule.spec, L, rule.nodes).T
     G = A.T @ (rule.weights[:, None] * A)

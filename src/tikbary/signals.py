@@ -26,6 +26,7 @@ __all__ = [
     "f1_plus_sin10x",
     "FUNCTIONS",
     "airy_ai",
+    "NOISE_KINDS",
     "NoiseSpec",
     "add_noise",
     "make_generator",
@@ -82,6 +83,9 @@ def derive_seed(master: int, *indices: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
+NOISE_KINDS = ("additive-white-snr", "multiplicative-uniform")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """What noise to add and from which seed.
@@ -98,7 +102,7 @@ class NoiseSpec:
     c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("additive-white-snr", "multiplicative-uniform"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
         if self.kind == "additive-white-snr":
             if self.snr_db is None or not math.isfinite(self.snr_db):

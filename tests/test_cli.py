@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,19 @@ class TestParser:
                     "--seed", "--out"],
         }
         assert got == {name: sorted(flags) for name, flags in want.items()}
+
+    def test_ci_runs_every_entry_point(self):
+        # CI runs this one list on one worker and on two, and under two
+        # OpenBLAS kernels; a subcommand or experiment left out of it goes
+        # unchecked there.  Lines that call the script's tikbary helper are
+        # the invocations
+        script = Path(_SRC).parent / ".github" / "ci" / "entry_points.sh"
+        calls = re.findall(r"^tikbary (\S+)(.*)", script.read_text(encoding="utf-8"), re.M)
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert {command for command, _ in calls} == set(sub.choices)
+        assert {e for _, rest in calls for e in re.findall(r"--experiment (\S+)", rest)} \
+            == set(experiments.EXPERIMENTS)
 
 
 class TestBasisOverflow:
