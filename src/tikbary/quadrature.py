@@ -1,26 +1,31 @@
 """Gauss quadrature rules for Jacobi weights.
 
 Nodes are the zeros of the degree-n orthonormal polynomial p_n, n = N+1.
-LAPACK finds them as the eigenvalues of the symmetric tridiagonal Jacobi
-matrix (Golub & Welsch, 1969), and one Newton step on p_n polishes them (as
-in Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  The weights are the
-Christoffel numbers 1 / sum_{l<n} p_l(x_j)^2 at the polished nodes.  Both
-come from sweeps of basis._orthonormal_rows, which hold three rows at a
-time, so no n x n table is built: a sweep gives p_n, p_{n-1} and that sum,
-and at a zero of p_n the Christoffel-Darboux formula turns them into the
-derivative p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}).  Chebyshev first
-kind short-circuits to the closed-form rule.  Of the specs that reach the
-sweeps, only Chebyshev second kind, jacobi(0.5,0.5), takes the
-recurrence's two-pass step (x/s) p_k - p_{k-1}, from k = 1 on;
-exactness_residual also takes it for Chebyshev first kind from k = 2 on.
-Either way the bits are those of the general step.
+Chebyshev first kind short-circuits to the closed-form rule.  Legendre
+nodes start from Tricomi's asymptotic guesses and take Newton steps with
+the closed-form derivative (1-x^2) p_n' = n (c p_{n-1} - x p_n),
+c = sqrt((2n+1)/(2n-1)) (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013);
+they are computed on x >= 0 and mirrored, so the rule is exactly
+symmetric.  Every other spec gets its nodes from LAPACK, as the
+eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub & Welsch,
+1969); scipy.linalg is imported on that path only, so no Chebyshev or
+Legendre rule loads SciPy.  Either way one more Newton step polishes the
+nodes, and the weights are the Christoffel numbers 1 / sum_{l<n} p_l(x_j)^2
+at the polished nodes.  All of it comes from sweeps of
+basis._orthonormal_rows, which hold three rows at a time, so no n x n
+table is built: a sweep gives p_n, p_{n-1} and that sum, and at a zero of
+p_n the Christoffel-Darboux formula turns them into the derivative
+p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}) of the polishing step.  Of
+the specs that reach the sweeps, only Chebyshev second kind,
+jacobi(0.5,0.5), takes the recurrence's two-pass step (x/s) p_k - p_{k-1},
+from k = 1 on; exactness_residual also takes it for Chebyshev first kind
+from k = 2 on.  Either way the bits are those of the general step.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisSpec, _orthonormal_rows, recurrence_coefficients
 
@@ -28,6 +33,12 @@ __all__ = ["QuadratureRule", "gauss_rule", "exactness_residual"]
 
 # two nodes closer than this signal a broken rule
 _NODE_GAP_FLOOR = 1e-14
+
+# Newton steps from Tricomi's guesses before the polishing step.  The
+# guesses are off by up to 0.1/n^2 near the ends; two quadratic steps take
+# every node to within 1e-12 for n <= 3000, where the polishing step lands
+# it at rounding (test_newton_has_converged_before_the_polish)
+_NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +80,9 @@ class QuadratureRule:
 def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
     """The unique (N+1)-point Gauss rule for the spec, N+1 = points.
 
-    Chebyshev first kind uses the closed-form nodes and equal weights;
-    everything else goes through _gauss_rule_recurrence.
+    Chebyshev first kind uses the closed-form nodes and equal weights,
+    Legendre goes through _legendre_rule and everything else through
+    _gauss_rule_recurrence.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -81,6 +93,8 @@ def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
         nodes = np.sin((2.0 * j + 1.0 - points) * (math.pi / (2.0 * points)))
         weights = np.full(points, math.pi / points)
         return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
+    if spec.name == "legendre":
+        return _legendre_rule(points)
     return _gauss_rule_recurrence(spec, points)
 
 
@@ -93,24 +107,71 @@ def _gauss_rule_recurrence(spec: BasisSpec, points: int) -> QuadratureRule:
     for some exponents near -1, raises a ValueError that names the spec and
     the point count.
     """
-    table = recurrence_coefficients(spec, points + 1)
-    nodes = scipy.linalg.eigvalsh_tridiagonal(table.a[:points], np.sqrt(table.b[1:points]))
-    p_n, p_prev, sum_sq = _sweep(spec, nodes)
-    # Newton step with p_n' = sum_sq / (sqrt(b_n) p_{n-1}), its value at a zero
-    nodes = nodes - p_n * math.sqrt(table.b[points]) * p_prev / sum_sq
-    if np.max(np.abs(nodes)) >= 1.0:
-        raise ValueError(f"the {points}-point {spec.name} rule has an outermost "
-                         "node that rounds to -1 or 1 in double precision")
-    weights = 1.0 / _sweep(spec, nodes)[2]
+    # imported here, not at module level: loading scipy.linalg costs every
+    # process about 0.3 s and 20 MiB, and only jacobi(a,b) rules need it
+    import scipy.linalg
+
+    table = recurrence_coefficients(spec, points)
+    nodes = scipy.linalg.eigvalsh_tridiagonal(table.a, np.sqrt(table.b[1:]))
+    nodes, weights = _polished(spec, nodes, points)
     return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
 
 
-def _sweep(spec: BasisSpec, x):
-    """p_n(x), p_{n-1}(x) and sum_{l<n} p_l(x)^2 at the n = |x| points x."""
-    sum_sq = np.zeros_like(x)
-    for l, p in enumerate(_orthonormal_rows(spec, x.size, x)):
-        if l < x.size:
-            sum_sq += p * p
+def _legendre_rule(points: int) -> QuadratureRule:
+    """Legendre nodes by Newton iteration, no eigensolver.
+
+    Only the nodes x >= 0 are computed.  With a_k = +0.0 the recurrence
+    gives p_l(-x) = (-1)^l p_l(x) to the bit, so the polishing step and
+    the weights of the mirrored nodes are those of the computed ones, and
+    an odd rule's middle node is an exact zero, where p_n vanishes exactly.
+    """
+    spec = BasisSpec.legendre()
+    half, weights = _polished(spec, _legendre_newton(points, _legendre_guess(points)), points)
+    mirror = slice(None, 0, -1) if points % 2 else slice(None, None, -1)
+    return QuadratureRule(spec=spec, nodes=np.concatenate([-half[mirror], half]),
+                          weights=np.concatenate([weights[mirror], weights]))
+
+
+def _legendre_guess(n: int) -> np.ndarray:
+    """Tricomi's x_k = (1 - 1/(8n^2) + 1/(8n^3)) cos(pi (4k-1)/(4n+2)), x_k >= 0.
+
+    Ascending; the cosine is written as sin(pi j/(2n+1)), j = n+1-2k, so
+    an odd n's middle guess is an exact zero.
+    """
+    j = np.arange(1 - n % 2, n, 2, dtype=float)
+    return (1.0 - 1.0 / (8.0 * n * n) + 1.0 / (8.0 * n**3)) * np.sin(j * (math.pi / (2 * n + 1)))
+
+
+def _legendre_newton(n: int, x: np.ndarray, steps: int = _NEWTON_STEPS) -> np.ndarray:
+    """steps Newton steps on the orthonormal Legendre p_n from x."""
+    spec, c = BasisSpec.legendre(), math.sqrt((2 * n + 1) / (2 * n - 1))
+    for _ in range(steps):
+        p_n, p_prev = _sweep(spec, x, n, squares=False)[:2]
+        x = x - p_n * ((1.0 - x) * (1.0 + x)) / (n * (c * p_prev - x * p_n))
+    return x
+
+
+def _polished(spec: BasisSpec, nodes: np.ndarray, n: int):
+    """One Newton step on p_n from nodes near its zeros, and the weights there.
+
+    The step takes p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}), its value
+    at a zero; the weights are 1 / sum_{l<n} p_l^2 at the stepped nodes.
+    """
+    p_n, p_prev, sum_sq = _sweep(spec, nodes, n)
+    nodes = nodes - p_n * math.sqrt(recurrence_coefficients(spec, n + 1).b[n]) * p_prev / sum_sq
+    if np.max(np.abs(nodes)) >= 1.0:
+        raise ValueError(f"the {n}-point {spec.name} rule has an outermost "
+                         "node that rounds to -1 or 1 in double precision")
+    return nodes, 1.0 / _sweep(spec, nodes, n)[2]
+
+
+def _sweep(spec: BasisSpec, x, n: int, squares: bool = True):
+    """p_n(x), p_{n-1}(x) and sum_{l<n} p_l(x)^2 (None unless squares)."""
+    sum_sq = np.zeros_like(x) if squares else None
+    for l, p in enumerate(_orthonormal_rows(spec, n, x)):
+        if l < n:
+            if squares:
+                sum_sq += p * p
             p_prev = p
     return p, p_prev, sum_sq
 

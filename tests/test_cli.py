@@ -472,26 +472,34 @@ class TestRun:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--L" in err and "--N" in err
 
-    def test_import_leaves_mpmath_and_scipy_special_out(self, tmp_path):
-        # mpmath is a test-only dependency, and scipy.special loads on the
-        # first Airy call; either at import would slow every run's start-up.
-        # Desk fig3 and fig4 evaluate f3 and f1 alone, so no Airy call
-        # loads it on their way either
+    def test_import_leaves_mpmath_and_scipy_out(self, tmp_path):
+        # mpmath is a test-only dependency, and SciPy loads only for the
+        # LAPACK nodes of a jacobi(a,b) rule: loading it costs a process
+        # about 0.3 s and 20 MiB.  Desk fig3 and fig4 run Chebyshev rules,
+        # desk fig2 also calls the Airy-based f2, and custom builds
+        # Legendre rules by Newton iteration; none may load either.  A
+        # jacobi(0.3,-0.25) rule then does load scipy.linalg
         probe = ("import contextlib, os, sys, tikbary.cli\n"
                  "def loaded():\n"
-                 "    print(any(m in sys.modules for m in ('mpmath', 'scipy.special')))\n"
+                 "    print(any(m.split('.')[0] in ('mpmath', 'scipy') for m in sys.modules))\n"
                  "loaded()\n"
-                 "for e in ('fig3', 'fig4'):\n"
+                 "for name, *args in (['fig3', '--scale', 'desk'], ['fig4', '--scale', 'desk'],\n"
+                 "                    ['fig2', '--scale', 'desk'],\n"
+                 "                    ['custom', '--basis', 'legendre', '--L', '20', '--N', '40']):\n"
                  "    with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
-                 "        code = tikbary.cli.main(['run', '--experiment', e, '--scale', 'desk',\n"
-                 "                                 '--out', os.path.join(sys.argv[1], e)])\n"
+                 "        code = tikbary.cli.main(['run', '--experiment', name, *args,\n"
+                 "                                 '--out', os.path.join(sys.argv[1], name)])\n"
                  "    print(code)\n"
-                 "    loaded()\n")
+                 "    loaded()\n"
+                 "from tikbary.basis import BasisSpec\n"
+                 "from tikbary.quadrature import gauss_rule\n"
+                 "gauss_rule(BasisSpec(0.3, -0.25), 9)\n"
+                 "print('scipy.linalg' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-W", "error", "-c", probe, str(tmp_path)],
                               check=True, capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": _SRC})
-        assert done.stdout.split() == ["False", "0", "False", "0", "False"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3", "fig4"]
+        assert done.stdout.split() == ["False"] + ["0", "False"] * 4 + ["True"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["custom", "fig2", "fig3", "fig4"]
 
     def test_fig3_needs_equal_degrees(self, capsys, tmp_path):
         code, out, err = _run(capsys, "run", "--experiment", "fig3", "--L", "5",

@@ -1,10 +1,13 @@
-"""Gauss rules: analytic short-circuit, generic recurrence path, exactness.
+"""Gauss rules: analytic short-circuit, Legendre Newton path, generic
+recurrence path, exactness.
 
-Independent oracles: 40-digit rules from mpmath's gauss_quadrature, the
-eigenvectors of scipy.linalg.eigh_tridiagonal on the same recurrence
-matrix, numpy's leggauss, and closed-form rules worked out by hand.
+Independent oracles: 40-digit rules from mpmath's gauss_quadrature and from
+the classical Legendre recurrence, the eigenvectors of
+scipy.linalg.eigh_tridiagonal on the same recurrence matrix, numpy's
+leggauss, and closed-form rules worked out by hand.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -16,6 +19,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tikbary import quadrature
 from tikbary.basis import (BasisSpec, _orthonormal_rows, eval_orthonormal,
                            recurrence_coefficients)
 from tikbary.quadrature import (
@@ -26,11 +30,19 @@ from tikbary.quadrature import (
 )
 from tikbary.regularized_fit import gram_matrix_residual
 
-from oracles import quadrature_sums_oracle
+from oracles import legendre_rule_digits, quadrature_sums_oracle
 
 CHEB = BasisSpec.chebyshev1()
 LEG = BasisSpec.legendre()
 JAC = BasisSpec(0.3, -0.25)
+
+# every point count up to 300, then a stride up to 3000
+NEWTON_COUNTS = [*range(1, 301), *range(840, 3001, 540)]
+
+
+@functools.cache
+def _legendre_digits(pts):
+    return legendre_rule_digits(pts)
 
 
 class TestKnownRules:
@@ -55,6 +67,15 @@ class TestKnownRules:
         for pts in (6, 7, 61):
             rule = gauss_rule(CHEB, pts)
             assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+            if pts % 2:
+                assert rule.nodes[pts // 2] == 0.0
+
+    def test_legendre_mirror_symmetry_is_exact(self):
+        # the Newton path computes x >= 0 and mirrors it
+        for pts in (1, 6, 7, 301):
+            rule = gauss_rule(LEG, pts)
+            assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+            assert np.array_equal(rule.weights, rule.weights[::-1])
             if pts % 2:
                 assert rule.nodes[pts // 2] == 0.0
 
@@ -104,18 +125,64 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("a, b", [(0.0, 0.0), (20.0, -0.9)])
     @pytest.mark.parametrize("pts", [5, 40])
     def test_one_newton_step_from_shifted_nodes(self, monkeypatch, a, b, pts):
-        # LAPACK's nodes are already within an ulp, which hides a wrong
-        # derivative in the Newton step, so start it 1e-10 off the 40-digit
-        # nodes.  A right step squares that error times a constant that
-        # grows near the ends (from 1e-8 off it lands 2.7e-11 away at 40
-        # points of jacobi(20,-0.9)), and here lands within 1e-14
+        # nodes already within an ulp hide a wrong derivative in a Newton
+        # step, so start the step 1e-10 off the 40-digit nodes.  A right
+        # step squares that error times a constant that grows near the ends
+        # (from 1e-8 off it lands 2.7e-11 away at 40 points of
+        # jacobi(20,-0.9)), and here lands within 1e-14
         with mpmath.workdps(40):
             x = mpmath.gauss_quadrature(pts, "jacobi", a, b)[0]
             x = np.sort([float(v) for v in x])
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
-                            lambda d, e: x + 1e-10)
-        rule = gauss_rule(BasisSpec(a, b), pts)
-        assert np.max(np.abs(rule.nodes - x)) < 1e-14
+        if (a, b) != (0.0, 0.0):
+            monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
+                                lambda d, e: x + 1e-10)
+            rule = gauss_rule(BasisSpec(a, b), pts)
+            assert np.max(np.abs(rule.nodes - x)) < 1e-14
+            return
+        # Legendre never reaches LAPACK: its path starts from
+        # _legendre_guess on the nodes x >= 0, so shift those.  Each of its
+        # two steps alone, and the whole path, must land within 1e-14
+        half = x[pts // 2:]
+        step = quadrature._legendre_newton(pts, half + 1e-10, 1)
+        assert np.max(np.abs(step - half)) < 1e-14
+        monkeypatch.setattr(quadrature, "_legendre_guess", lambda n: half + 1e-10)
+        assert np.max(np.abs(gauss_rule(LEG, pts).nodes - x)) < 1e-14
+        monkeypatch.setattr(quadrature, "_legendre_newton", lambda n, guess: guess)
+        assert np.max(np.abs(gauss_rule(LEG, pts).nodes - x)) < 1e-14  # the polish alone
+
+    # the largest error of the LAPACK path at each n, rounded up: nodes
+    # 1.1e-16 at every n but 5 (0), weights 3.3e-16, 1.8e-14, 2.2e-13,
+    # 1.2e-12 and 7.4e-13 relative.  The Newton path reads the same, except
+    # 1.7e-13 for the weights at 101
+    @pytest.mark.parametrize("pts, weight_tol", [(5, 4e-16), (40, 2e-14), (101, 2.5e-13),
+                                                 (301, 1.2e-12), (701, 8e-13)])
+    @pytest.mark.parametrize("path", [gauss_rule, _gauss_rule_recurrence],
+                             ids=["newton", "lapack"])
+    def test_legendre_against_40_digits(self, path, pts, weight_tol):
+        x, w = _legendre_digits(pts)
+        rule = path(LEG, pts)
+        assert np.max(np.abs(rule.nodes - x)) <= 1.2e-16
+        assert np.max(np.abs(rule.weights / w - 1.0)) <= weight_tol
+
+    def test_legendre_agrees_with_the_lapack_path(self):
+        # a node moved by one ulp moves the weight near the ends by up to
+        # about n^2 eps relative.  Measured: nodes at most 1.1e-16 apart;
+        # weights up to 0.39 n^2 eps apart (n = 3), 0.21 n^2 eps from n = 5
+        # on (3.4e-12 at n = 293, 4.8e-11 at n = 1109)
+        eps = np.finfo(float).eps
+        for n in NEWTON_COUNTS:
+            newton, lapack = gauss_rule(LEG, n), _gauss_rule_recurrence(LEG, n)
+            assert np.max(np.abs(newton.nodes - lapack.nodes)) <= 2.3e-16, n
+            assert np.max(np.abs(newton.weights / lapack.weights - 1.0)) <= n * n * eps, n
+
+    def test_newton_has_converged_before_the_polish(self):
+        # the polishing step squares the error it is given, so it needs the
+        # Newton steps to have converged: a third step moves no node by more
+        # than 1e-10 (measured 1.6e-12, at n = 2; 1.1e-16 from n = 700 on).
+        # A fixed step count that stopped converging for some n fails here
+        for n in NEWTON_COUNTS:
+            x = quadrature._legendre_newton(n, quadrature._legendre_guess(n))
+            assert np.max(np.abs(quadrature._legendre_newton(n, x, 1) - x)) <= 1e-10, n
 
     def test_matches_numpy_leggauss(self):
         x, w = npleg.leggauss(64)
