@@ -43,6 +43,10 @@ tikbary sweep --L 30 --N 40 --fn f2 --seed 7 --out "$out/sweep/f2"
 tikbary sweep --L 16 --no-noise --out "$out/sweep/no_noise"
 # a large recurrence rule, and the fit subcommand
 tikbary quadrature-dump --basis legendre --points 701 --out "$out/cli/rule.csv"
+# a jacobi(a,b) rule whose dense eigensolve is large enough at 2001 points
+# for OpenBLAS to thread its BLAS-3 reduction; the polishing step must
+# still give the same bytes on one worker and on two
+tikbary quadrature-dump --basis 'jacobi(20,-0.9)' --points 2001 --out "$out/cli/jacobi2001.csv"
 tikbary fit --L 8 --N 16 --fn f1 --lambda 0.1995 --out "$out/cli/fit.csv"
 # 1001 points at N = 60 run as one share; 300 points at N = 1000 as two
 # shares of 150 rows, each three blocks of at most 57 rows

@@ -10,11 +10,11 @@ experiment families:
     tikbary run --config src/tikbary/configs/fig1-desk.cfg
     tikbary run --experiment fig3 --scale paper --out results
 
-Commands that take data accept --fn NAME or --data FILE, the file being CSV
-rows of (x, f(x)) with or without a header; fit and interp require the x
-values to be the Gauss nodes of the requested rule.  Flags given alongside
---config override the file's values.  Exit status is 0 on success, 2 on any
-error, with a message on stderr.
+Commands that take data accept either --fn NAME or --data FILE, the file
+being CSV rows of (x, f(x)) with or without a header; fit and interp
+require the x values to be the Gauss nodes of the requested rule.  Flags
+given alongside --config override the file's values.  Exit status is 0 on
+success, 2 on any error, with a message on stderr.
 """
 
 import argparse
@@ -188,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", type=float, action="append",
                        help="shrinkage parameter (default 0)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--fn", choices=sorted(FUNCTIONS), default=None)
-        p.add_argument("--data", default=None,
-                       help="CSV of (x, f(x)) rows sampled at the nodes")
+        samples = p.add_mutually_exclusive_group()
+        samples.add_argument("--fn", choices=sorted(FUNCTIONS))
+        samples.add_argument("--data", help="CSV of (x, f(x)) rows sampled at the nodes")
 
     def add_config_flags(p):
         # ExperimentConfig overrides for _run_with_flags, None when not given

@@ -6,20 +6,20 @@ nodes start from Tricomi's asymptotic guesses and take Newton steps with
 the closed-form derivative (1-x^2) p_n' = n (c p_{n-1} - x p_n),
 c = sqrt((2n+1)/(2n-1)) (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013);
 they are computed on x >= 0 and mirrored, so the rule is exactly
-symmetric.  Every other spec gets its nodes from LAPACK, as the
-eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub & Welsch,
-1969); scipy.linalg is imported on that path only, so no Chebyshev or
-Legendre rule loads SciPy.  Either way one more Newton step polishes the
-nodes, and the weights are the Christoffel numbers 1 / sum_{l<n} p_l(x_j)^2
-at the polished nodes.  All of it comes from sweeps of
-basis._orthonormal_rows, which hold three rows at a time, so no n x n
-table is built: a sweep gives p_n, p_{n-1} and that sum, and at a zero of
-p_n the Christoffel-Darboux formula turns them into the derivative
-p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}) of the polishing step.  Of
-the specs that reach the sweeps, only Chebyshev second kind,
-jacobi(0.5,0.5), takes the recurrence's two-pass step (x/s) p_k - p_{k-1},
-from k = 1 on; exactness_residual also takes it for Chebyshev first kind
-from k = 2 on.  Either way the bits are those of the general step.
+symmetric.  Every other spec starts from the eigenvalues of the Jacobi
+matrix (Golub & Welsch, 1969), which numpy.linalg.eigvalsh finds by a
+dense solve: O(n^3) time and two n x n doubles, 61 MiB at 2001 points.
+Either way one more Newton step polishes the nodes, and the weights are
+the Christoffel numbers 1 / sum_{l<n} p_l(x_j)^2 at the polished nodes.
+Both come from sweeps of basis._orthonormal_rows, which hold three rows
+at a time, so neither builds an n x n table: a sweep gives p_n, p_{n-1}
+and that sum, and at a zero of p_n the Christoffel-Darboux formula turns
+them into the derivative p_n' = sum_{l<n} p_l^2 / (sqrt(b_n) p_{n-1}) of
+the polishing step.  Of the specs that reach the sweeps, only Chebyshev
+second kind, jacobi(0.5,0.5), takes the recurrence's two-pass step
+(x/s) p_k - p_{k-1}, from k = 1 on; exactness_residual also takes it for
+Chebyshev first kind from k = 2 on.  Either way the bits are those of the
+general step.
 """
 
 import math
@@ -99,21 +99,20 @@ def gauss_rule(spec: BasisSpec, points: int) -> QuadratureRule:
 
 
 def _gauss_rule_recurrence(spec: BasisSpec, points: int) -> QuadratureRule:
-    """Generic path, valid for any spec: LAPACK nodes, Newton-polished.
+    """Generic path, valid for any spec: eigenvalue nodes, Newton-polished.
 
-    The weights 1 / sum_{l<points} p_l^2 start from p_0 = 1/sqrt(V), so even
-    a one-point rule gets the mass V only to rounding: 1 ulp off for
-    Legendre's V = 2.  An outermost node that rounds to -1 or 1, as happens
-    for some exponents near -1, raises a ValueError that names the spec and
-    the point count.
+    numpy.linalg.eigvalsh reads only the lower triangle of the dense Jacobi
+    matrix, so it holds a on the diagonal and sqrt(b[1:]) below; the solve
+    takes O(n^3) time and two n x n doubles (61 MiB at 2001 points).  The
+    weights 1 / sum_{l<points} p_l^2 start from p_0 = 1/sqrt(V), so even a
+    one-point rule gets the mass V only to rounding: 1 ulp off for
+    Legendre's V = 2.  An outermost node that rounds to -1 or 1, as for
+    some exponents near -1, raises a ValueError naming the spec and count.
     """
-    # imported here, not at module level: loading scipy.linalg costs every
-    # process about 0.3 s and 20 MiB, and only jacobi(a,b) rules need it
-    import scipy.linalg
-
     table = recurrence_coefficients(spec, points)
-    nodes = scipy.linalg.eigvalsh_tridiagonal(table.a, np.sqrt(table.b[1:]))
-    nodes, weights = _polished(spec, nodes, points)
+    matrix = np.diag(table.a)
+    matrix[range(1, points), range(points - 1)] = np.sqrt(table.b[1:])
+    nodes, weights = _polished(spec, np.linalg.eigvalsh(matrix), points)
     return QuadratureRule(spec=spec, nodes=nodes, weights=weights)
 
 

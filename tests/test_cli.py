@@ -124,6 +124,14 @@ class TestFit:
         code, _, err = _run(capsys, "fit", "--L", "4")
         assert code == 2 and "--fn" in err and "--data" in err
 
+    def test_fn_and_data_together_are_refused(self, capsys):
+        # the file was ignored: the coefficients of f1 came out, exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--L", "3", "--N", "4", "--fn", "f1", "--data", "/nonexistent"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--fn" in err and "--data" in err and "not allowed with" in err
+
 
 class TestFitFromFile:
     def _write_samples(self, tmp_path, rule, values):
@@ -190,6 +198,14 @@ class TestInterp:
                               "--eval-points", points)
         assert code == 2 and out == ""
         assert err == f"error: --eval-points must be >= 1, got {points}\n"
+
+    def test_data_and_fn_together_are_refused(self, capsys):
+        # the file was ignored: the interpolant of f1 came out, exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["interp", "--N", "4", "--data", "/nonexistent", "--fn", "f1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--fn" in err and "--data" in err and "not allowed with" in err
 
     def test_negative_degree_names_its_flag(self, capsys):
         code, out, err = _run(capsys, "interp", "--N", "-1", "--fn", "f1")
@@ -473,33 +489,36 @@ class TestRun:
         assert err.startswith("error:") and "--L" in err and "--N" in err
 
     def test_import_leaves_mpmath_and_scipy_out(self, tmp_path):
-        # mpmath is a test-only dependency, and SciPy loads only for the
-        # LAPACK nodes of a jacobi(a,b) rule: loading it costs a process
-        # about 0.3 s and 20 MiB.  Desk fig3 and fig4 run Chebyshev rules,
-        # desk fig2 also calls the Airy-based f2, and custom builds
-        # Legendre rules by Newton iteration; none may load either.  A
-        # jacobi(0.3,-0.25) rule then does load scipy.linalg
+        # mpmath and SciPy are test-only dependencies.  Desk fig3 and fig4
+        # run Chebyshev rules, desk fig2 also calls the Airy-based f2,
+        # custom builds Legendre rules by Newton iteration and jacobi(a,b)
+        # rules from numpy's eigensolver; none may load either, and
+        # neither may a jacobi(0.3,-0.25) rule built through the library
         probe = ("import contextlib, os, sys, tikbary.cli\n"
                  "def loaded():\n"
                  "    print(any(m.split('.')[0] in ('mpmath', 'scipy') for m in sys.modules))\n"
                  "loaded()\n"
-                 "for name, *args in (['fig3', '--scale', 'desk'], ['fig4', '--scale', 'desk'],\n"
-                 "                    ['fig2', '--scale', 'desk'],\n"
-                 "                    ['custom', '--basis', 'legendre', '--L', '20', '--N', '40']):\n"
+                 "for out_dir, name, *args in (\n"
+                 "        ['fig3', 'fig3', '--scale', 'desk'], ['fig4', 'fig4', '--scale', 'desk'],\n"
+                 "        ['fig2', 'fig2', '--scale', 'desk'],\n"
+                 "        ['legendre', 'custom', '--basis', 'legendre', '--L', '20', '--N', '40'],\n"
+                 "        ['jacobi', 'custom', '--basis', 'jacobi(20,-0.9)', '--L', '10',\n"
+                 "         '--N', '40']):\n"
                  "    with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
                  "        code = tikbary.cli.main(['run', '--experiment', name, *args,\n"
-                 "                                 '--out', os.path.join(sys.argv[1], name)])\n"
+                 "                                 '--out', os.path.join(sys.argv[1], out_dir)])\n"
                  "    print(code)\n"
                  "    loaded()\n"
                  "from tikbary.basis import BasisSpec\n"
                  "from tikbary.quadrature import gauss_rule\n"
                  "gauss_rule(BasisSpec(0.3, -0.25), 9)\n"
-                 "print('scipy.linalg' in sys.modules)\n")
+                 "loaded()\n")
         done = subprocess.run([sys.executable, "-W", "error", "-c", probe, str(tmp_path)],
                               check=True, capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": _SRC})
-        assert done.stdout.split() == ["False"] + ["0", "False"] * 4 + ["True"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["custom", "fig2", "fig3", "fig4"]
+        assert done.stdout.split() == ["False"] + ["0", "False"] * 5 + ["False"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2", "fig3", "fig4",
+                                                               "jacobi", "legendre"]
 
     def test_fig3_needs_equal_degrees(self, capsys, tmp_path):
         code, out, err = _run(capsys, "run", "--experiment", "fig3", "--L", "5",
